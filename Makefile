@@ -84,7 +84,8 @@ batch-determinism:
 # pipeline), the write-ahead journal replayer (arbitrary on-disk
 # bytes), the client's SSE frame parser (arbitrary stream bytes), the
 # in-place batch substitution kernels (random sparse systems, every
-# lane width, vector and Go bodies vs the element-wise reference), and
+# lane width — the width-8/16 vector and Go bodies and the element-wise
+# walk of the other widths — vs the element-wise reference), and
 # the skitter sticky state machine (random configs x voltage walks,
 # certified table vs exact evaluation). Go allows one -fuzz pattern per
 # package invocation, so the targets run back to back.
@@ -156,13 +157,16 @@ recover-smoke:
 stream-smoke:
 	./scripts/stream_smoke.sh
 
-# ci is the full gate: tier-1 plus the race detector over the service
-# (always, it is the concurrency hot spot) and the internal packages,
+# ci is the full gate: tier-1 plus an arm64 cross-vet (there the
+# pure-Go substitution fallback is the only path, so it must build),
+# the race detector over the service (always, it is the concurrency
+# hot spot) and the internal packages,
 # the fault-injection and durability suites, the fuzz smoke pass, the
 # batch determinism suites under -race, the streaming smoke script,
 # and a bench-check run that fails the gate on a benchmark regression
 # past BENCH_MAX_REGRESS.
 ci: tier1
+	GOARCH=arm64 $(GO) vet ./...
 	$(GO) test -race ./internal/service/...
 	$(GO) test -race ./internal/...
 	$(MAKE) fault

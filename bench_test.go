@@ -38,10 +38,8 @@ func benchSetup(b *testing.B) *voltnoise.Lab {
 
 // BenchmarkTable1EPIProfile regenerates the EPI profile (Table I).
 func BenchmarkTable1EPIProfile(b *testing.B) {
-	cfg := voltnoise.DefaultEPIConfig()
-	cfg.MeasureCycles = 1024
 	for i := 0; i < b.N; i++ {
-		prof, err := voltnoise.EPIProfileWith(cfg)
+		prof, err := voltnoise.EPIProfile(context.Background(), voltnoise.EPIMeasureCycles(1024))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -366,12 +364,10 @@ func BenchmarkFrequencySweepParallel(b *testing.B) { benchFrequencySweep(b, 0, 0
 // benchEPIProfile is the shared body of the serial/parallel EPI pair:
 // the full 1301-instruction profile at a reduced measurement window.
 func benchEPIProfile(b *testing.B, workers int) {
-	cfg := voltnoise.DefaultEPIConfig()
-	cfg.MeasureCycles = 1024
-	cfg.Workers = workers
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		prof, err := voltnoise.EPIProfileWith(cfg)
+		prof, err := voltnoise.EPIProfile(context.Background(),
+			voltnoise.EPIMeasureCycles(1024), voltnoise.EPIWorkers(workers))
 		if err != nil {
 			b.Fatal(err)
 		}

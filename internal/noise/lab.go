@@ -106,29 +106,7 @@ func New(plat *core.Platform, opts ...Option) (*Lab, error) {
 	for _, f := range opts {
 		f(&o)
 	}
-	l, err := NewLabOn(plat, o.search)
-	if err != nil {
-		return nil, err
-	}
-	l.Workers = o.workers
-	l.Batch = o.batch
-	l.Progress = o.progress
-	return l, nil
-}
-
-// NewLab builds a lab from a platform configuration.
-//
-// Deprecated: construct the platform and use New with options.
-func NewLab(pcfg core.Config, scfg stressmark.SearchConfig) (*Lab, error) {
-	plat, err := core.New(pcfg)
-	if err != nil {
-		return nil, err
-	}
-	return NewLabOn(plat, scfg)
-}
-
-// NewLabOn builds a lab around an existing platform.
-func NewLabOn(plat *core.Platform, scfg stressmark.SearchConfig) (*Lab, error) {
+	scfg := o.search
 	res, err := stressmark.FindMaxPowerSequence(scfg)
 	if err != nil {
 		return nil, err
@@ -146,15 +124,10 @@ func NewLabOn(plat *core.Platform, scfg stressmark.SearchConfig) (*Lab, error) {
 		MedSeq:       med,
 		MinSeq:       min,
 		SearchFunnel: res,
+		Workers:      o.workers,
+		Batch:        o.batch,
+		Progress:     o.progress,
 	}, nil
-}
-
-// DefaultLab builds a lab with the calibrated platform and the
-// paper-sized search.
-//
-// Deprecated: use New on a core.New(core.DefaultConfig()) platform.
-func DefaultLab() (*Lab, error) {
-	return NewLab(core.DefaultConfig(), stressmark.DefaultSearchConfig())
 }
 
 // table returns the ISA table in use.

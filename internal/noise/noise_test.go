@@ -30,7 +30,12 @@ func lab(t *testing.T) *Lab {
 		scfg.NumCandidates = 5
 		scfg.KeepTopIPC = 50
 		scfg.EvalCycles = 1024
-		labVal, labErr = NewLab(core.DefaultConfig(), scfg)
+		plat, err := core.New(core.DefaultConfig())
+		if err != nil {
+			labErr = err
+			return
+		}
+		labVal, labErr = New(plat, WithSearch(scfg))
 	})
 	if labErr != nil {
 		t.Fatal(labErr)

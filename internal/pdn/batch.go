@@ -167,10 +167,21 @@ func (t *BatchTransient) SetLaneFixed(lane int, n NodeID, volts float64) error {
 }
 
 // Voltage returns the potential of node n in the given lane at the
-// current time.
+// current time. It panics on an unknown node or a lane outside
+// [0, Lanes()).
 func (t *BatchTransient) Voltage(lane int, n NodeID) float64 {
 	t.c.checkNode(n)
+	t.checkLane(lane)
 	return t.pots[int(n)*t.lanes+lane]
+}
+
+// checkLane panics on a lane outside [0, Lanes()), as checkNode does
+// on an unknown node: lane-innermost state would otherwise hand back a
+// neighbouring node's lane as a valid reading.
+func (t *BatchTransient) checkLane(lane int) {
+	if lane < 0 || lane >= t.lanes {
+		panic(fmt.Sprintf("pdn: lane %d out of range [0,%d)", lane, t.lanes))
+	}
 }
 
 // LaneVoltages returns the potentials of node n for every lane, lane l
@@ -184,7 +195,8 @@ func (t *BatchTransient) LaneVoltages(n NodeID) []float64 {
 }
 
 // BranchCurrent returns the current (a -> b) through element i in
-// insertion order, for the given lane. Exported for white-box testing.
+// insertion order, for the given lane, which must lie in [0, Lanes()).
+// Exported for white-box testing.
 //
 // Past the first step, currents are derived on demand from the node
 // potentials and the cached history source — the exact expressions a
@@ -195,6 +207,7 @@ func (t *BatchTransient) LaneVoltages(n NodeID) []float64 {
 // are returned instead: initState computes resistor current as
 // (va-vb)/R, which can differ from v*geq in the last ULP.
 func (t *BatchTransient) BranchCurrent(lane, i int) float64 {
+	t.checkLane(lane)
 	if t.step == 0 {
 		return t.ibr[i*t.lanes+lane]
 	}
@@ -331,15 +344,26 @@ func (t *BatchTransient) initState() error {
 }
 
 // Step advances every lane by one timestep. It allocates nothing.
+// The width dispatch is the engine's only per-width code: the
+// specialized widths run the one step walk over fixed-size lane blocks.
 func (t *BatchTransient) Step() error {
 	switch t.lanes {
 	case DefaultBatchLanes:
-		return t.step8()
+		return stepWalk[*[DefaultBatchLanes]float64](t)
 	case WideBatchLanes:
-		return t.step16()
+		return stepWalk[*[WideBatchLanes]float64](t)
 	}
+	return stepWalk[[]float64](t)
+}
+
+// stepWalk is the lockstep step over lane blocks of type P (see
+// laneBlock), whose length must equal t.lanes. Per lane it performs
+// the same floating-point operations in the same order as the
+// single-lane Transient.Step, so lanes stay bit-identical to
+// single-lane engines at every width.
+func stepWalk[P laneBlock](t *BatchTransient) error {
 	c := t.c
-	B := t.lanes
+	B := blockLanes[P](t.lanes)
 	next := t.time + t.dt
 	rhs := t.rhs
 	for i := range rhs {
@@ -357,16 +381,16 @@ func (t *BatchTransient) Step() error {
 	for pi := range t.plan {
 		pe := &t.plan[pi]
 		if pe.hasFA {
-			fa := t.planFA[pi*B : pi*B+B : pi*B+B]
-			ra := rhs[pe.iaP*B : pe.iaP*B+B]
-			for l := range ra {
+			fa := P(t.planFA[pi*B : pi*B+B])
+			ra := P(rhs[pe.iaP*B : pe.iaP*B+B])
+			for l := 0; l < len(ra); l++ {
 				ra[l] += fa[l]
 			}
 		}
 		if pe.hasFB {
-			fb := t.planFB[pi*B : pi*B+B : pi*B+B]
-			rb := rhs[pe.ibP*B : pe.ibP*B+B]
-			for l := range rb {
+			fb := P(t.planFB[pi*B : pi*B+B])
+			rb := P(rhs[pe.ibP*B : pe.ibP*B+B])
+			for l := 0; l < len(rb); l++ {
 				rb[l] += fb[l]
 			}
 		}
@@ -374,63 +398,61 @@ func (t *BatchTransient) Step() error {
 			continue
 		}
 		geq := pe.geq
-		hist := t.hist[pe.ei*B : pe.ei*B+B : pe.ei*B+B]
+		hist := P(t.hist[pe.ei*B : pe.ei*B+B])
 		if !first {
-			pa := t.pots[pe.na*B : pe.na*B+B : pe.na*B+B]
-			pb := t.pots[pe.nb*B : pe.nb*B+B : pe.nb*B+B]
+			pa := P(t.pots[pe.na*B : pe.na*B+B])
+			pb := P(t.pots[pe.nb*B : pe.nb*B+B])
 			if pe.kind == kindCapacitor {
-				for l := range hist {
+				for l := 0; l < len(hist); l++ {
 					gv := geq * (pa[l] - pb[l])
 					hist[l] = gv + (gv - hist[l])
 				}
 			} else {
-				for l := range hist {
+				for l := 0; l < len(hist); l++ {
 					gv := geq * (pa[l] - pb[l])
 					hist[l] = (gv + hist[l]) + gv
 				}
 			}
 		}
-		switch pe.kind {
-		case kindCapacitor:
-			// i(t+dt) = geq*v(t+dt) - hist, hist = geq*v(t) + i(t).
-			// Branch current a->b contributes +hist into node a's RHS.
-			switch {
-			case pe.iaP >= 0 && pe.ibP >= 0:
-				ra := rhs[pe.iaP*B : pe.iaP*B+B]
-				rb := rhs[pe.ibP*B : pe.ibP*B+B]
-				for l := range ra {
+		// A capacitor's history source feeds +hist into node a's RHS
+		// (i(t+dt) = geq*v(t+dt) - hist, hist = geq*v(t) + i(t)); an
+		// inductor's feeds -hist (i(t+dt) = geq*v(t+dt) + hist,
+		// hist = i(t) + geq*v(t)). Node b sees the opposite sign.
+		capacitor := pe.kind == kindCapacitor
+		switch {
+		case pe.iaP >= 0 && pe.ibP >= 0:
+			ra := P(rhs[pe.iaP*B : pe.iaP*B+B])
+			rb := P(rhs[pe.ibP*B : pe.ibP*B+B])
+			if capacitor {
+				for l := 0; l < len(ra); l++ {
 					ra[l] += hist[l]
 					rb[l] -= hist[l]
 				}
-			case pe.iaP >= 0:
-				ra := rhs[pe.iaP*B : pe.iaP*B+B]
-				for l := range ra {
-					ra[l] += hist[l]
-				}
-			case pe.ibP >= 0:
-				rb := rhs[pe.ibP*B : pe.ibP*B+B]
-				for l := range rb {
-					rb[l] -= hist[l]
-				}
-			}
-		case kindInductor:
-			// i(t+dt) = geq*v(t+dt) + hist, hist = i(t) + geq*v(t).
-			switch {
-			case pe.iaP >= 0 && pe.ibP >= 0:
-				ra := rhs[pe.iaP*B : pe.iaP*B+B]
-				rb := rhs[pe.ibP*B : pe.ibP*B+B]
-				for l := range ra {
+			} else {
+				for l := 0; l < len(ra); l++ {
 					ra[l] -= hist[l]
 					rb[l] += hist[l]
 				}
-			case pe.iaP >= 0:
-				ra := rhs[pe.iaP*B : pe.iaP*B+B]
-				for l := range ra {
+			}
+		case pe.iaP >= 0:
+			ra := P(rhs[pe.iaP*B : pe.iaP*B+B])
+			if capacitor {
+				for l := 0; l < len(ra); l++ {
+					ra[l] += hist[l]
+				}
+			} else {
+				for l := 0; l < len(ra); l++ {
 					ra[l] -= hist[l]
 				}
-			case pe.ibP >= 0:
-				rb := rhs[pe.ibP*B : pe.ibP*B+B]
-				for l := range rb {
+			}
+		case pe.ibP >= 0:
+			rb := P(rhs[pe.ibP*B : pe.ibP*B+B])
+			if capacitor {
+				for l := 0; l < len(rb); l++ {
+					rb[l] -= hist[l]
+				}
+			} else {
+				for l := 0; l < len(rb); l++ {
 					rb[l] += hist[l]
 				}
 			}
@@ -449,281 +471,17 @@ func (t *BatchTransient) Step() error {
 		}
 	}
 	t.lu.solveBatchInPlace(rhs, B)
-	// Scatter the solved unknowns, checking for divergence in the same
-	// pass (v-v is 0 for every finite v and NaN for NaN and ±Inf).
+	// Scatter the solved unknowns (element-wise: an array assignment
+	// lowers to a runtime.memmove call), checking for divergence in the
+	// same pass — v-v is 0 for every finite v and NaN for NaN and ±Inf.
 	// Fixed-node potentials are not rewritten here: they change only
 	// through Reset, which re-scatters them via initState. On
 	// divergence the engine state is abandoned with the error.
 	bad := -1
 	for i, node := range t.unkNode {
-		po := t.pots[int(node)*B : int(node)*B+B]
-		so := rhs[i*B : i*B+B : i*B+B]
-		for l := range po {
-			v := so[l]
-			if v-v != 0 {
-				bad = l
-			}
-			po[l] = v
-		}
-	}
-	if bad >= 0 {
-		return fmt.Errorf("pdn: integration diverged at t=%g (lane %d)", next, bad)
-	}
-	t.time = next
-	t.step++
-	return nil
-}
-
-// step8 is Step specialized to the default 8-lane batch: every inner
-// loop runs over fixed-size array pointers, so the compiler drops the
-// slice-header bookkeeping and bounds checks of the generic path and
-// unrolls the 8-wide lane updates. Per lane the arithmetic — order and
-// operations — is exactly the generic Step's, so lanes stay
-// bit-identical to single-lane engines at any width.
-func (t *BatchTransient) step8() error {
-	const B = DefaultBatchLanes
-	c := t.c
-	next := t.time + t.dt
-	rhs := t.rhs
-	for i := range rhs {
-		rhs[i] = 0
-	}
-	first := t.step == 0
-	for pi := range t.plan {
-		pe := &t.plan[pi]
-		if pe.hasFA {
-			fa := (*[B]float64)(t.planFA[pi*B : pi*B+B])
-			ra := (*[B]float64)(rhs[pe.iaP*B : pe.iaP*B+B])
-			for l := 0; l < B; l++ {
-				ra[l] += fa[l]
-			}
-		}
-		if pe.hasFB {
-			fb := (*[B]float64)(t.planFB[pi*B : pi*B+B])
-			rb := (*[B]float64)(rhs[pe.ibP*B : pe.ibP*B+B])
-			for l := 0; l < B; l++ {
-				rb[l] += fb[l]
-			}
-		}
-		if pe.kind == kindResistor {
-			continue
-		}
-		geq := pe.geq
-		hist := (*[B]float64)(t.hist[pe.ei*B : pe.ei*B+B])
-		if !first {
-			pa := (*[B]float64)(t.pots[pe.na*B : pe.na*B+B])
-			pb := (*[B]float64)(t.pots[pe.nb*B : pe.nb*B+B])
-			if pe.kind == kindCapacitor {
-				for l := 0; l < B; l++ {
-					gv := geq * (pa[l] - pb[l])
-					hist[l] = gv + (gv - hist[l])
-				}
-			} else {
-				for l := 0; l < B; l++ {
-					gv := geq * (pa[l] - pb[l])
-					hist[l] = (gv + hist[l]) + gv
-				}
-			}
-		}
-		switch pe.kind {
-		case kindCapacitor:
-			// i(t+dt) = geq*v(t+dt) - hist, hist = geq*v(t) + i(t).
-			switch {
-			case pe.iaP >= 0 && pe.ibP >= 0:
-				ra := (*[B]float64)(rhs[pe.iaP*B : pe.iaP*B+B])
-				rb := (*[B]float64)(rhs[pe.ibP*B : pe.ibP*B+B])
-				for l := 0; l < B; l++ {
-					ra[l] += hist[l]
-					rb[l] -= hist[l]
-				}
-			case pe.iaP >= 0:
-				ra := (*[B]float64)(rhs[pe.iaP*B : pe.iaP*B+B])
-				for l := 0; l < B; l++ {
-					ra[l] += hist[l]
-				}
-			case pe.ibP >= 0:
-				rb := (*[B]float64)(rhs[pe.ibP*B : pe.ibP*B+B])
-				for l := 0; l < B; l++ {
-					rb[l] -= hist[l]
-				}
-			}
-		case kindInductor:
-			// i(t+dt) = geq*v(t+dt) + hist, hist = i(t) + geq*v(t).
-			switch {
-			case pe.iaP >= 0 && pe.ibP >= 0:
-				ra := (*[B]float64)(rhs[pe.iaP*B : pe.iaP*B+B])
-				rb := (*[B]float64)(rhs[pe.ibP*B : pe.ibP*B+B])
-				for l := 0; l < B; l++ {
-					ra[l] -= hist[l]
-					rb[l] += hist[l]
-				}
-			case pe.iaP >= 0:
-				ra := (*[B]float64)(rhs[pe.iaP*B : pe.iaP*B+B])
-				for l := 0; l < B; l++ {
-					ra[l] -= hist[l]
-				}
-			case pe.ibP >= 0:
-				rb := (*[B]float64)(rhs[pe.ibP*B : pe.ibP*B+B])
-				for l := 0; l < B; l++ {
-					rb[l] += hist[l]
-				}
-			}
-		}
-	}
-	// Loads evaluated at the new time, lane by lane (backward-looking
-	// sources keep the trapezoidal solve linear).
-	for l := 0; l < B; l++ {
-		if t.onLane != nil {
-			t.onLane(l)
-		}
-		for _, ld := range c.loads {
-			if i := t.idxP[ld.Node]; i >= 0 {
-				rhs[i*B+l] -= ld.Current(next)
-			}
-		}
-	}
-	t.lu.solveBatch8InPlace(rhs)
-	// Scatter the solved unknowns (element-wise: a 64-byte array
-	// assignment lowers to a runtime.memmove call), checking for
-	// divergence in the same pass — v-v is 0 for every finite v and NaN
-	// for NaN and ±Inf. Fixed-node potentials are not rewritten here:
-	// they change only through Reset, which re-scatters them via
-	// initState. On divergence the engine state is abandoned with the
-	// error.
-	bad := -1
-	for i, node := range t.unkNode {
-		po := (*[B]float64)(t.pots[int(node)*B : int(node)*B+B])
-		so := (*[B]float64)(rhs[i*B : i*B+B])
-		for l := 0; l < B; l++ {
-			v := so[l]
-			if v-v != 0 {
-				bad = l
-			}
-			po[l] = v
-		}
-	}
-	if bad >= 0 {
-		return fmt.Errorf("pdn: integration diverged at t=%g (lane %d)", next, bad)
-	}
-	t.time = next
-	t.step++
-	return nil
-}
-
-// step16 is step8 at the wide lane width: identical walk, sixteen-lane
-// blocks. Per lane the arithmetic — order and operations — is exactly
-// the generic Step's, so lanes stay bit-identical to single-lane
-// engines at this width too.
-func (t *BatchTransient) step16() error {
-	const B = WideBatchLanes
-	c := t.c
-	next := t.time + t.dt
-	rhs := t.rhs
-	for i := range rhs {
-		rhs[i] = 0
-	}
-	first := t.step == 0
-	for pi := range t.plan {
-		pe := &t.plan[pi]
-		if pe.hasFA {
-			fa := (*[B]float64)(t.planFA[pi*B : pi*B+B])
-			ra := (*[B]float64)(rhs[pe.iaP*B : pe.iaP*B+B])
-			for l := 0; l < B; l++ {
-				ra[l] += fa[l]
-			}
-		}
-		if pe.hasFB {
-			fb := (*[B]float64)(t.planFB[pi*B : pi*B+B])
-			rb := (*[B]float64)(rhs[pe.ibP*B : pe.ibP*B+B])
-			for l := 0; l < B; l++ {
-				rb[l] += fb[l]
-			}
-		}
-		if pe.kind == kindResistor {
-			continue
-		}
-		geq := pe.geq
-		hist := (*[B]float64)(t.hist[pe.ei*B : pe.ei*B+B])
-		if !first {
-			pa := (*[B]float64)(t.pots[pe.na*B : pe.na*B+B])
-			pb := (*[B]float64)(t.pots[pe.nb*B : pe.nb*B+B])
-			if pe.kind == kindCapacitor {
-				for l := 0; l < B; l++ {
-					gv := geq * (pa[l] - pb[l])
-					hist[l] = gv + (gv - hist[l])
-				}
-			} else {
-				for l := 0; l < B; l++ {
-					gv := geq * (pa[l] - pb[l])
-					hist[l] = (gv + hist[l]) + gv
-				}
-			}
-		}
-		switch pe.kind {
-		case kindCapacitor:
-			// i(t+dt) = geq*v(t+dt) - hist, hist = geq*v(t) + i(t).
-			switch {
-			case pe.iaP >= 0 && pe.ibP >= 0:
-				ra := (*[B]float64)(rhs[pe.iaP*B : pe.iaP*B+B])
-				rb := (*[B]float64)(rhs[pe.ibP*B : pe.ibP*B+B])
-				for l := 0; l < B; l++ {
-					ra[l] += hist[l]
-					rb[l] -= hist[l]
-				}
-			case pe.iaP >= 0:
-				ra := (*[B]float64)(rhs[pe.iaP*B : pe.iaP*B+B])
-				for l := 0; l < B; l++ {
-					ra[l] += hist[l]
-				}
-			case pe.ibP >= 0:
-				rb := (*[B]float64)(rhs[pe.ibP*B : pe.ibP*B+B])
-				for l := 0; l < B; l++ {
-					rb[l] -= hist[l]
-				}
-			}
-		case kindInductor:
-			// i(t+dt) = geq*v(t+dt) + hist, hist = i(t) + geq*v(t).
-			switch {
-			case pe.iaP >= 0 && pe.ibP >= 0:
-				ra := (*[B]float64)(rhs[pe.iaP*B : pe.iaP*B+B])
-				rb := (*[B]float64)(rhs[pe.ibP*B : pe.ibP*B+B])
-				for l := 0; l < B; l++ {
-					ra[l] -= hist[l]
-					rb[l] += hist[l]
-				}
-			case pe.iaP >= 0:
-				ra := (*[B]float64)(rhs[pe.iaP*B : pe.iaP*B+B])
-				for l := 0; l < B; l++ {
-					ra[l] -= hist[l]
-				}
-			case pe.ibP >= 0:
-				rb := (*[B]float64)(rhs[pe.ibP*B : pe.ibP*B+B])
-				for l := 0; l < B; l++ {
-					rb[l] += hist[l]
-				}
-			}
-		}
-	}
-	// Loads evaluated at the new time, lane by lane (backward-looking
-	// sources keep the trapezoidal solve linear).
-	for l := 0; l < B; l++ {
-		if t.onLane != nil {
-			t.onLane(l)
-		}
-		for _, ld := range c.loads {
-			if i := t.idxP[ld.Node]; i >= 0 {
-				rhs[i*B+l] -= ld.Current(next)
-			}
-		}
-	}
-	t.lu.solveBatch16InPlace(rhs)
-	// Scatter the solved unknowns, divergence-checked in the same pass;
-	// fixed nodes change only through Reset (see step8).
-	bad := -1
-	for i, node := range t.unkNode {
-		po := (*[B]float64)(t.pots[int(node)*B : int(node)*B+B])
-		so := (*[B]float64)(rhs[i*B : i*B+B])
-		for l := 0; l < B; l++ {
+		po := P(t.pots[int(node)*B : int(node)*B+B])
+		so := P(rhs[i*B : i*B+B])
+		for l := 0; l < len(po); l++ {
 			v := so[l]
 			if v-v != 0 {
 				bad = l

@@ -1,6 +1,7 @@
 package pdn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -46,51 +47,27 @@ func newBatchRLC(t *testing.T, lanes int, start float64) (*BatchTransient, NodeI
 	return bt, out
 }
 
-// TestBatchLanesMatchSingleLane drives every lane of a width-4 batch
-// with a lane-distinct load and checks each lane stays bit-identical
-// to a dedicated single-lane Transient over thousands of steps — the
-// core contract of the lockstep engine.
+// solveModes lists the substitution bodies a host can run: the vector
+// kernels where available, and always the pure-Go fallback.
+func solveModes() []bool {
+	if useSolveAVX2 {
+		return []bool{true, false}
+	}
+	return []bool{false}
+}
+
+// TestBatchLanesMatchSingleLane drives every lane of a batch with a
+// lane-distinct load and checks each lane stays bit-identical to a
+// dedicated single-lane Transient over thousands of steps — node
+// potentials every step, and the companion state through the branch
+// currents — at the generic and default widths, through both the
+// vector and the pure-Go solve bodies, from two start times. This is
+// the core contract of the lockstep engine.
 func TestBatchLanesMatchSingleLane(t *testing.T) {
-	const lanes = 4
-	for _, start := range []float64{0, -3e-6} {
-		bt, out := newBatchRLC(t, lanes, start)
-		singles := make([]*Transient, lanes)
-		outs := make([]NodeID, lanes)
-		for l := 0; l < lanes; l++ {
-			ckt, o := rlcWithLoad(batchWave(l))
-			tr, err := NewTransientAt(ckt, 1e-9, start)
-			if err != nil {
-				t.Fatal(err)
-			}
-			singles[l], outs[l] = tr, o
-		}
-		for l := 0; l < lanes; l++ {
-			if got, want := bt.Voltage(l, out), singles[l].Voltage(outs[l]); got != want {
-				t.Fatalf("start %g: lane %d DC %v != single %v", start, l, got, want)
-			}
-		}
-		for i := 0; i < 4000; i++ {
-			if err := bt.Step(); err != nil {
-				t.Fatal(err)
-			}
-			for l := 0; l < lanes; l++ {
-				if err := singles[l].Step(); err != nil {
-					t.Fatal(err)
-				}
-				if got, want := bt.Voltage(l, out), singles[l].Voltage(outs[l]); got != want {
-					t.Fatalf("start %g: step %d lane %d: %v != %v", start, i, l, got, want)
-				}
-			}
-		}
-		// Branch currents too — the companion state, not just the
-		// solved potentials.
-		for ei := 0; ei < 3; ei++ {
-			for l := 0; l < lanes; l++ {
-				if got, want := bt.BranchCurrent(l, ei), singles[l].BranchCurrent(ei); got != want {
-					t.Fatalf("element %d lane %d current %v != %v", ei, l, got, want)
-				}
-			}
-		}
+	for _, lanes := range []int{3, 4, DefaultBatchLanes} {
+		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
+			checkWidthMatchesSingles(t, lanes)
+		})
 	}
 }
 
@@ -98,22 +75,71 @@ func TestBatchLanesMatchSingleLane(t *testing.T) {
 // the single-lane engine exactly, so callers can treat B=1 as just
 // another width.
 func TestBatchWidthOneMatchesSingle(t *testing.T) {
-	bt, out := newBatchRLC(t, 1, 0)
-	ckt, o := rlcWithLoad(batchWave(0))
-	tr, err := NewTransientAt(ckt, 1e-9, 0)
-	if err != nil {
-		t.Fatal(err)
+	checkWidthMatchesSingles(t, 1)
+}
+
+// TestBatch16LanesMatchSingleLane extends the core lockstep contract to
+// the wide width, through both the vector and the pure-Go solve bodies.
+func TestBatch16LanesMatchSingleLane(t *testing.T) {
+	checkWidthMatchesSingles(t, WideBatchLanes)
+}
+
+// checkWidthMatchesSingles runs the lockstep contract for one batch
+// width over every solve body the host has and two start times.
+func checkWidthMatchesSingles(t *testing.T, lanes int) {
+	modes, saved := solveModes(), useSolveAVX2
+	defer func() { useSolveAVX2 = saved }()
+	for _, vec := range modes {
+		for _, start := range []float64{0, -3e-6} {
+			t.Run(fmt.Sprintf("vector=%v/start=%g", vec, start), func(t *testing.T) {
+				useSolveAVX2 = vec
+				checkBatchMatchesSingles(t, lanes, start)
+			})
+		}
 	}
-	for i := 0; i < 3000; i++ {
+}
+
+// checkBatchMatchesSingles runs one width/start case of the lockstep
+// contract.
+func checkBatchMatchesSingles(t *testing.T, lanes int, start float64) {
+	bt, _ := newBatchRLC(t, lanes, start)
+	singles := make([]*Transient, lanes)
+	for l := range singles {
+		ckt, _ := rlcWithLoad(batchWave(l))
+		tr, err := NewTransientAt(ckt, 1e-9, start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		singles[l] = tr
+	}
+	// The batch and single circuits are built by the same code, so
+	// node and element numbering agree.
+	check := func(step int) {
+		t.Helper()
+		for l, tr := range singles {
+			for n := 0; n < bt.c.NumNodes(); n++ {
+				if got, want := bt.Voltage(l, NodeID(n)), tr.Voltage(NodeID(n)); got != want {
+					t.Fatalf("step %d lane %d node %d: %v != single %v", step, l, n, got, want)
+				}
+			}
+			for ei := range bt.c.elements {
+				if got, want := bt.BranchCurrent(l, ei), tr.BranchCurrent(ei); got != want {
+					t.Fatalf("step %d lane %d element %d current: %v != single %v", step, l, ei, got, want)
+				}
+			}
+		}
+	}
+	check(0)
+	for i := 1; i <= 4000; i++ {
 		if err := bt.Step(); err != nil {
 			t.Fatal(err)
 		}
-		if err := tr.Step(); err != nil {
-			t.Fatal(err)
+		for _, tr := range singles {
+			if err := tr.Step(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if got, want := bt.Voltage(0, out), tr.Voltage(o); got != want {
-			t.Fatalf("step %d: width-1 batch %v != single %v", i, got, want)
-		}
+		check(i)
 	}
 }
 
@@ -206,14 +232,41 @@ func TestBatchResetMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestBatchRejectsBadArgs covers constructor validation.
+// TestBatchRejectsBadArgs covers constructor validation and the lane
+// range checks of the per-lane readers: a lane outside [0, Lanes())
+// must panic, not read a neighbouring node's lane.
 func TestBatchRejectsBadArgs(t *testing.T) {
-	ckt, _ := rlcWithLoad(func(float64) float64 { return 1 })
+	ckt, out := rlcWithLoad(func(float64) float64 { return 1 })
 	if _, err := NewBatchTransient(ckt, 0, 4, nil); err == nil {
 		t.Error("zero timestep accepted")
 	}
 	if _, err := NewBatchTransient(ckt, 1e-9, 0, nil); err == nil {
 		t.Error("zero lanes accepted")
+	}
+	const lanes = 3
+	bt, err := NewBatchTransient(ckt, 1e-9, lanes, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPanic := func(label string, read func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", label)
+			}
+		}()
+		read()
+	}
+	for _, steps := range []int{0, 1} {
+		for i := 0; i < steps; i++ {
+			if err := bt.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, lane := range []int{-1, lanes} {
+			mustPanic(fmt.Sprintf("step %d Voltage(lane %d)", steps, lane), func() { bt.Voltage(lane, out) })
+			mustPanic(fmt.Sprintf("step %d BranchCurrent(lane %d)", steps, lane), func() { bt.BranchCurrent(lane, 0) })
+		}
 	}
 }
 
@@ -221,14 +274,19 @@ func TestBatchRejectsBadArgs(t *testing.T) {
 // allocation-free, alongside the single-lane guard: the batch engine
 // must run entirely on preallocated state whatever the width.
 func TestBatchStepDoesNotAllocate(t *testing.T) {
-	for _, lanes := range []int{1, 8, 16} {
-		bt, _ := newBatchRLC(t, lanes, 0)
-		if allocs := testing.AllocsPerRun(100, func() {
-			if err := bt.Step(); err != nil {
-				t.Fatal(err)
+	modes, saved := solveModes(), useSolveAVX2
+	defer func() { useSolveAVX2 = saved }()
+	for _, lanes := range []int{1, 3, 4, DefaultBatchLanes, WideBatchLanes} {
+		for _, vec := range modes {
+			useSolveAVX2 = vec
+			bt, _ := newBatchRLC(t, lanes, 0)
+			if allocs := testing.AllocsPerRun(100, func() {
+				if err := bt.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 0 {
+				t.Errorf("lanes=%d vector=%v: Step allocates %v objects per call, want 0", lanes, vec, allocs)
 			}
-		}); allocs != 0 {
-			t.Errorf("lanes=%d: Step allocates %v objects per call, want 0", lanes, allocs)
 		}
 	}
 }

@@ -117,9 +117,11 @@ func TestSolveBatchInPlaceVectorMatchesGo(t *testing.T) {
 
 // BenchmarkInPlaceSolve measures the in-place permuted-RHS
 // substitution kernels on the production factor — the per-step solve
-// cost at each specialized width (compare BenchmarkBlockedSolve for the
-// two-buffer walks they replaced). Go8/Go16 force the pure-Go register
-// blocks so the vector kernels' margin is visible on AVX2 hosts.
+// cost at each width: InPlace1 is the single-lane walk, InPlace8 and
+// InPlace16 the specialized widths (vector kernels on AVX2 hosts),
+// Generic4 the element-wise walk every other width runs. Go8/Go16
+// force the pure-Go register blocks so the vector kernels' margin is
+// visible on AVX2 hosts.
 func BenchmarkInPlaceSolve(b *testing.B) {
 	lu := zec12LU(b)
 	n := lu.n
@@ -143,6 +145,11 @@ func BenchmarkInPlaceSolve(b *testing.B) {
 			lu.solveBatch16InPlace(x)
 		}
 	})
+	b.Run("Generic4", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			lu.solveBatchInPlace(x[:n*4], 4)
+		}
+	})
 	if useSolveAVX2 {
 		defer func() { useSolveAVX2 = true }()
 		useSolveAVX2 = false
@@ -157,46 +164,5 @@ func BenchmarkInPlaceSolve(b *testing.B) {
 			}
 		})
 		useSolveAVX2 = true
-	}
-}
-
-// TestBatch16LanesMatchSingleLane extends the core lockstep contract to
-// the wide width: every lane of a width-16 batch stays bit-identical to
-// a dedicated single-lane Transient, through both the vector and the
-// pure-Go solve kernels.
-func TestBatch16LanesMatchSingleLane(t *testing.T) {
-	const lanes = WideBatchLanes
-	modes := []bool{useSolveAVX2}
-	if useSolveAVX2 {
-		modes = append(modes, false)
-	}
-	saved := useSolveAVX2
-	defer func() { useSolveAVX2 = saved }()
-	for _, vec := range modes {
-		useSolveAVX2 = vec
-		bt, out := newBatchRLC(t, lanes, 0)
-		singles := make([]*Transient, lanes)
-		outs := make([]NodeID, lanes)
-		for l := 0; l < lanes; l++ {
-			ckt, o := rlcWithLoad(batchWave(l))
-			tr, err := NewTransientAt(ckt, 1e-9, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			singles[l], outs[l] = tr, o
-		}
-		for i := 0; i < 3000; i++ {
-			if err := bt.Step(); err != nil {
-				t.Fatal(err)
-			}
-			for l := 0; l < lanes; l++ {
-				if err := singles[l].Step(); err != nil {
-					t.Fatal(err)
-				}
-				if got, want := bt.Voltage(l, out), singles[l].Voltage(outs[l]); got != want {
-					t.Fatalf("vector=%v step %d lane %d: %v != %v", vec, i, l, got, want)
-				}
-			}
-		}
 	}
 }

@@ -31,34 +31,17 @@ type realLU struct {
 	// Sparse substitution pattern: row r's L nonzeros (columns < r)
 	// sit at lVal/lCol[lPtr[r]:lPtr[r+1]], its U nonzeros (columns
 	// > r) at uVal/uCol[uPtr[r]:uPtr[r+1]], columns ascending — the
-	// same order the dense loops visit them in. diag is the U
-	// diagonal.
+	// same order the dense loops visit them in.
 	lVal, uVal []float64
 	lCol, uCol []int32
 	lPtr, uPtr []int32
-	diag       []float64
-	// invDiag is 1/diag, computed once at factorization time: the
+	// invDiag is the reciprocal of the U diagonal, computed once at factorization time: the
 	// substitutions scale each row by multiplying with the reciprocal
 	// instead of dividing, trading one division per row per solve for
-	// one per row per factorization. Every solve path (blocked,
-	// element-wise, single- and multi-RHS) uses the same reciprocal, so
-	// they all remain byte-identical to one another.
+	// one per row per factorization. Every solve path (single- and
+	// multi-RHS, Go and vector) uses the same reciprocal, so they all
+	// remain byte-identical to one another.
 	invDiag []float64
-
-	// Blocked (supernodal-style) substitution plan: each row's nonzeros
-	// are grouped into maximal runs of consecutive columns, recorded in
-	// elimination order. Row r's L runs sit at lRunPtr[r]:lRunPtr[r+1];
-	// run q starts at column lRunCol[q] and spans lRunLen[q] columns
-	// whose values are the next lRunLen[q] entries of lVal. Walking runs
-	// instead of single entries turns the inner substitution loops into
-	// contiguous streams (no per-element column indirection) while
-	// performing exactly the same multiplies and subtractions in the
-	// same order, so the blocked walk is bit-identical to the
-	// element-wise one. The tree-structured PDN matrices factor into
-	// long consecutive bands, which is what makes the runs worthwhile.
-	lRunCol, uRunCol []int32
-	lRunLen, uRunLen []int32
-	lRunPtr, uRunPtr []int32
 }
 
 // factorReal factors the n x n row-major matrix a. a is not modified.
@@ -117,11 +100,9 @@ func (f *realLU) indexNonzeros() {
 	}
 	f.lPtr = make([]int32, n+1)
 	f.uPtr = make([]int32, n+1)
-	f.diag = make([]float64, n)
 	f.invDiag = make([]float64, n)
 	for i := 0; i < n; i++ {
-		f.diag[i] = f.lu[i*n+i]
-		f.invDiag[i] = 1 / f.diag[i]
+		f.invDiag[i] = 1 / f.lu[i*n+i]
 		for j := 0; j < i; j++ {
 			if v := f.lu[i*n+j]; v != 0 {
 				f.lVal = append(f.lVal, v)
@@ -137,101 +118,6 @@ func (f *realLU) indexNonzeros() {
 		}
 		f.uPtr[i+1] = int32(len(f.uVal))
 	}
-	f.lRunCol, f.lRunLen, f.lRunPtr = indexRuns(f.lCol, f.lPtr, n)
-	f.uRunCol, f.uRunLen, f.uRunPtr = indexRuns(f.uCol, f.uPtr, n)
-}
-
-// indexRuns groups each row's ascending nonzero columns into maximal
-// runs of consecutive columns, preserving order — the blocked
-// substitution plan.
-func indexRuns(cols []int32, ptr []int32, n int) (runCol, runLen, runPtr []int32) {
-	runPtr = make([]int32, n+1)
-	for i := 0; i < n; i++ {
-		k := ptr[i]
-		for k < ptr[i+1] {
-			c0 := cols[k]
-			ln := int32(1)
-			for k+ln < ptr[i+1] && cols[k+ln] == c0+ln {
-				ln++
-			}
-			runCol = append(runCol, c0)
-			runLen = append(runLen, ln)
-			k += ln
-		}
-		runPtr[i+1] = int32(len(runCol))
-	}
-	return runCol, runLen, runPtr
-}
-
-// solveBatchInto solves A*X = B for `lanes` independent right-hand
-// sides in lockstep, writing the solution block into x. Both x and b
-// hold n*lanes values with the lanes of each row adjacent (row i, lane
-// l lives at i*lanes+l), so every inner loop streams a contiguous
-// lane-width run — cache-friendly and trivially vectorizable, with
-// `lanes` independent dependency chains where solveInto has one.
-//
-// Lane l of the solution is bit-identical to solveInto run on lane l
-// of b alone: per column the elimination performs exactly the same
-// multiplies, subtractions, and the same final reciprocal scaling in the same
-// order — only the loop nesting interleaves work across independent
-// columns, never within one.
-//
-// Both substitutions walk the blocked run plan (see indexRuns): the
-// per-row nonzeros are consumed as contiguous column bands, which
-// drops the per-element column indirection of the element-wise walk
-// while keeping the arithmetic order — and therefore every bit of the
-// result — unchanged (solveBatchIntoElementwise pins the equivalence
-// in the tests).
-func (f *realLU) solveBatchInto(x, b []float64, lanes int) {
-	n := f.n
-	if lanes < 1 || len(b) != n*lanes || len(x) != n*lanes {
-		panic(fmt.Sprintf("pdn: solveBatchInto with len(x)=%d len(b)=%d n=%d lanes=%d", len(x), len(b), n, lanes))
-	}
-	if lanes == DefaultBatchLanes {
-		f.solveBatch8(x, b)
-		return
-	}
-	for i := 0; i < n; i++ {
-		copy(x[i*lanes:i*lanes+lanes], b[f.perm[i]*lanes:f.perm[i]*lanes+lanes])
-	}
-	for i := 1; i < n; i++ {
-		xi := x[i*lanes : i*lanes+lanes : i*lanes+lanes]
-		kv := int(f.lPtr[i])
-		for r := f.lRunPtr[i]; r < f.lRunPtr[i+1]; r++ {
-			ln := int(f.lRunLen[r])
-			base := int(f.lRunCol[r]) * lanes
-			// One contiguous band: values kv..kv+ln stream against the
-			// x block at base..base+ln*lanes with no column lookups.
-			for k := 0; k < ln; k++ {
-				v := f.lVal[kv+k]
-				xj := x[base+k*lanes : base+(k+1)*lanes : base+(k+1)*lanes]
-				for l := range xi {
-					xi[l] -= v * xj[l]
-				}
-			}
-			kv += ln
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		xi := x[i*lanes : i*lanes+lanes : i*lanes+lanes]
-		kv := int(f.uPtr[i])
-		for r := f.uRunPtr[i]; r < f.uRunPtr[i+1]; r++ {
-			ln := int(f.uRunLen[r])
-			base := int(f.uRunCol[r]) * lanes
-			for k := 0; k < ln; k++ {
-				v := f.uVal[kv+k]
-				xj := x[base+k*lanes : base+(k+1)*lanes : base+(k+1)*lanes]
-				for l := range xi {
-					xi[l] -= v * xj[l]
-				}
-			}
-			kv += ln
-		}
-		d := f.invDiag[i]
-		for l := range xi {
-			xi[l] *= d
-		}
-	}
 }
 
 // DefaultBatchLanes is the lane width the 8-wide substitution kernel
@@ -239,163 +125,49 @@ func (f *realLU) solveBatchInto(x, b []float64, lanes int) {
 // pdn free of an exec import.
 const DefaultBatchLanes = 8
 
-// solveBatch8 is solveBatchInto's substitution specialized to 8 lanes:
-// fixed-size array pointers let the compiler drop every inner bounds
-// check, and each row's eight lane accumulators are hoisted into
-// locals, so they live in registers across the row's entire nonzero
-// walk (x rows never self-alias — L touches only columns < i, U only
-// columns > i — which the hoisting encodes and the compiler cannot
-// know). Unlike the generic path this kernel walks the element-wise
-// pattern directly: under the fill-reducing unknown ordering the
-// factors are nearly tree-sparse and almost every run has length one,
-// so the run bookkeeping costs more than the per-element column loads
-// it was built to avoid (the run plan still wins for generic lane
-// widths, where it eliminates per-element slice-header setup). The
-// arithmetic per lane is unchanged — same multiplies, subtractions and
-// reciprocal scalings in the same order as any other lane width or
-// walk order, as the equivalence tests pin.
-func (f *realLU) solveBatch8(x, b []float64) {
-	const B = DefaultBatchLanes
-	n := f.n
-	for i := 0; i < n; i++ {
-		xi := (*[B]float64)(x[i*B : i*B+B])
-		bp := (*[B]float64)(b[f.perm[i]*B : f.perm[i]*B+B])
-		// Element-wise, not *xi = *bp: a 64-byte array assignment
-		// lowers to a runtime.memmove call, which costs more than the
-		// eight moves it performs.
-		for l := 0; l < B; l++ {
-			xi[l] = bp[l]
-		}
-	}
-	for i := 1; i < n; i++ {
-		xi := (*[B]float64)(x[i*B : i*B+B])
-		x0, x1, x2, x3, x4, x5, x6, x7 := xi[0], xi[1], xi[2], xi[3], xi[4], xi[5], xi[6], xi[7]
-		for k := int(f.lPtr[i]); k < int(f.lPtr[i+1]); k++ {
-			v := f.lVal[k]
-			base := int(f.lCol[k]) * B
-			xj := (*[B]float64)(x[base : base+B])
-			x0 -= v * xj[0]
-			x1 -= v * xj[1]
-			x2 -= v * xj[2]
-			x3 -= v * xj[3]
-			x4 -= v * xj[4]
-			x5 -= v * xj[5]
-			x6 -= v * xj[6]
-			x7 -= v * xj[7]
-		}
-		xi[0], xi[1], xi[2], xi[3], xi[4], xi[5], xi[6], xi[7] = x0, x1, x2, x3, x4, x5, x6, x7
-	}
-	for i := n - 1; i >= 0; i-- {
-		xi := (*[B]float64)(x[i*B : i*B+B])
-		x0, x1, x2, x3, x4, x5, x6, x7 := xi[0], xi[1], xi[2], xi[3], xi[4], xi[5], xi[6], xi[7]
-		for k := int(f.uPtr[i]); k < int(f.uPtr[i+1]); k++ {
-			v := f.uVal[k]
-			base := int(f.uCol[k]) * B
-			xj := (*[B]float64)(x[base : base+B])
-			x0 -= v * xj[0]
-			x1 -= v * xj[1]
-			x2 -= v * xj[2]
-			x3 -= v * xj[3]
-			x4 -= v * xj[4]
-			x5 -= v * xj[5]
-			x6 -= v * xj[6]
-			x7 -= v * xj[7]
-		}
-		d := f.invDiag[i]
-		xi[0], xi[1], xi[2], xi[3], xi[4], xi[5], xi[6], xi[7] = x0*d, x1*d, x2*d, x3*d, x4*d, x5*d, x6*d, x7*d
-	}
+// WideBatchLanes is the second specialized lane width: twice the
+// default, for hosts whose calibration finds the per-lane cost still
+// dropping past 8 (the substitution kernels gain instruction-level
+// parallelism with width until the lane state outgrows cache).
+const WideBatchLanes = 16
+
+// laneBlock is one row's lane-width block of batch state (a solve row,
+// or a node's or element's lanes in the batched step). At the
+// specialized widths it is a fixed-size array pointer, so the compiler
+// drops the slice-header bookkeeping and bounds checks of the lane
+// loops; at every other width it is a plain slice.
+type laneBlock interface {
+	[]float64 | *[DefaultBatchLanes]float64 | *[WideBatchLanes]float64
 }
 
-// solveBatchIntoElementwise is the element-wise reference walk the
-// blocked plan replaced, kept for the bit-identity tests.
-func (f *realLU) solveBatchIntoElementwise(x, b []float64, lanes int) {
-	n := f.n
-	if lanes < 1 || len(b) != n*lanes || len(x) != n*lanes {
-		panic(fmt.Sprintf("pdn: solveBatchInto with len(x)=%d len(b)=%d n=%d lanes=%d", len(x), len(b), n, lanes))
+// blockLanes returns the lane count of blocks of type P: the array
+// length for the array pointers — a compile-time constant, so slicing
+// a block out of lane state needs no length check at conversion — and
+// lanes for the slice type.
+func blockLanes[P laneBlock](lanes int) int {
+	var blk P
+	if n := len(blk); n != 0 {
+		return n
 	}
-	for i := 0; i < n; i++ {
-		copy(x[i*lanes:i*lanes+lanes], b[f.perm[i]*lanes:f.perm[i]*lanes+lanes])
-	}
-	for i := 1; i < n; i++ {
-		xi := x[i*lanes : i*lanes+lanes]
-		for k := f.lPtr[i]; k < f.lPtr[i+1]; k++ {
-			v := f.lVal[k]
-			j := int(f.lCol[k])
-			xj := x[j*lanes : j*lanes+lanes : j*lanes+lanes]
-			for l := range xi {
-				xi[l] -= v * xj[l]
-			}
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		xi := x[i*lanes : i*lanes+lanes]
-		for k := f.uPtr[i]; k < f.uPtr[i+1]; k++ {
-			v := f.uVal[k]
-			j := int(f.uCol[k])
-			xj := x[j*lanes : j*lanes+lanes : j*lanes+lanes]
-			for l := range xi {
-				xi[l] -= v * xj[l]
-			}
-		}
-		d := f.invDiag[i]
-		for l := range xi {
-			xi[l] *= d
-		}
-	}
+	return lanes
 }
 
 // solveInto solves A*x = b, writing the solution into x. b is not
-// modified; x and b must both have length n and may not alias. Like
-// solveBatchInto it walks the blocked run plan; the result is
-// bit-identical to the element-wise walk.
+// modified; x and b must both have length n and may not alias. It
+// gathers b into permuted row order and runs the in-place walk, so the
+// result is bit-identical to every other solve path. Only the DC
+// operating-point init uses it; the per-step solves assemble their
+// right-hand sides in permuted order and call the in-place walks
+// directly.
 func (f *realLU) solveInto(x, b []float64) {
 	n := f.n
 	if len(b) != n || len(x) != n {
 		panic(fmt.Sprintf("pdn: solveInto with len(x)=%d len(b)=%d n=%d", len(x), len(b), n))
 	}
-	for i := 0; i < n; i++ {
-		x[i] = b[f.perm[i]]
+	for i, p := range f.perm {
+		x[i] = b[p]
 	}
-	for i := 1; i < n; i++ {
-		sum := x[i]
-		kv := int(f.lPtr[i])
-		for r := f.lRunPtr[i]; r < f.lRunPtr[i+1]; r++ {
-			ln := int(f.lRunLen[r])
-			j0 := int(f.lRunCol[r])
-			if ln == 1 {
-				sum -= f.lVal[kv] * x[j0]
-				kv++
-				continue
-			}
-			vals := f.lVal[kv : kv+ln : kv+ln]
-			xs := x[j0 : j0+ln : j0+ln]
-			for k, v := range vals {
-				sum -= v * xs[k]
-			}
-			kv += ln
-		}
-		x[i] = sum
-	}
-	for i := n - 1; i >= 0; i-- {
-		sum := x[i]
-		kv := int(f.uPtr[i])
-		for r := f.uRunPtr[i]; r < f.uRunPtr[i+1]; r++ {
-			ln := int(f.uRunLen[r])
-			j0 := int(f.uRunCol[r])
-			if ln == 1 {
-				sum -= f.uVal[kv] * x[j0]
-				kv++
-				continue
-			}
-			vals := f.uVal[kv : kv+ln : kv+ln]
-			xs := x[j0 : j0+ln : j0+ln]
-			for k, v := range vals {
-				sum -= v * xs[k]
-			}
-			kv += ln
-		}
-		x[i] = sum * f.invDiag[i]
-	}
+	f.solveInPlace(x)
 }
 
 // solveInPlace solves A*x = b in place: on entry x holds the
@@ -404,14 +176,7 @@ func (f *realLU) solveInto(x, b []float64) {
 // into slot invPerm[u]); on exit x[i] is the solution of unknown i.
 // The forward substitution only reads slots j < i that the pass has
 // already finalized and the back substitution only reads slots j > i,
-// so running in the right-hand-side buffer performs exactly the
-// arithmetic of the two-buffer walk minus the gather copy — solutions
-// are bit-identical.
-//
-// The walk is element-wise, not blocked: with one right-hand side the
-// run bookkeeping costs more than the per-element column loads it
-// avoids (the fill-reducing orderings leave almost every run at length
-// one), which is the same trade solveBatch8 makes.
+// so the walk can run in the right-hand-side buffer itself.
 func (f *realLU) solveInPlace(x []float64) {
 	n := f.n
 	if len(x) != n {
@@ -435,9 +200,10 @@ func (f *realLU) solveInPlace(x []float64) {
 
 // solveBatchInPlace is solveInPlace for `lanes` lockstep right-hand
 // sides (row i, lane l at i*lanes+l), already assembled in permuted
-// row order. Widths 8 and 16 dispatch to the register-blocked kernels
-// (hardware-vectorized where the host supports it); other widths walk
-// the blocked run plan in place. Per lane every path performs the
+// row order. Widths 8 and 16 dispatch to the vector kernels where the
+// host supports them; every other case runs the element-wise walk
+// (solveWalk), except the width-8 Go fallback, which keeps its
+// register-hoisted body. Per lane every path performs the
 // multiplies, subtractions and reciprocal scalings of the single-lane
 // walk in the same order, so lanes stay bit-identical at any width.
 func (f *realLU) solveBatchInPlace(x []float64, lanes int) {
@@ -453,58 +219,54 @@ func (f *realLU) solveBatchInPlace(x []float64, lanes int) {
 		f.solveBatch16InPlace(x)
 		return
 	}
+	solveWalk[[]float64](f, x, lanes)
+}
+
+// solveWalk is the element-wise in-place substitution over lane
+// blocks of type P (lanes wide for the slice type; the array pointers
+// carry their width). Instantiated at an array pointer, its lane loops
+// carry no bounds checks.
+func solveWalk[P laneBlock](f *realLU, x []float64, lanes int) {
+	n := f.n
+	lanes = blockLanes[P](lanes)
 	for i := 1; i < n; i++ {
-		xi := x[i*lanes : i*lanes+lanes : i*lanes+lanes]
-		kv := int(f.lPtr[i])
-		for r := f.lRunPtr[i]; r < f.lRunPtr[i+1]; r++ {
-			ln := int(f.lRunLen[r])
-			base := int(f.lRunCol[r]) * lanes
-			for k := 0; k < ln; k++ {
-				v := f.lVal[kv+k]
-				xj := x[base+k*lanes : base+(k+1)*lanes : base+(k+1)*lanes]
-				for l := range xi {
-					xi[l] -= v * xj[l]
-				}
+		xi := P(x[i*lanes : i*lanes+lanes])
+		for k := f.lPtr[i]; k < f.lPtr[i+1]; k++ {
+			v := f.lVal[k]
+			j := int(f.lCol[k]) * lanes
+			xj := P(x[j : j+lanes])
+			for l := 0; l < len(xi); l++ {
+				xi[l] -= v * xj[l]
 			}
-			kv += ln
 		}
 	}
 	for i := n - 1; i >= 0; i-- {
-		xi := x[i*lanes : i*lanes+lanes : i*lanes+lanes]
-		kv := int(f.uPtr[i])
-		for r := f.uRunPtr[i]; r < f.uRunPtr[i+1]; r++ {
-			ln := int(f.uRunLen[r])
-			base := int(f.uRunCol[r]) * lanes
-			for k := 0; k < ln; k++ {
-				v := f.uVal[kv+k]
-				xj := x[base+k*lanes : base+(k+1)*lanes : base+(k+1)*lanes]
-				for l := range xi {
-					xi[l] -= v * xj[l]
-				}
+		xi := P(x[i*lanes : i*lanes+lanes])
+		for k := f.uPtr[i]; k < f.uPtr[i+1]; k++ {
+			v := f.uVal[k]
+			j := int(f.uCol[k]) * lanes
+			xj := P(x[j : j+lanes])
+			for l := 0; l < len(xi); l++ {
+				xi[l] -= v * xj[l]
 			}
-			kv += ln
 		}
 		d := f.invDiag[i]
-		for l := range xi {
+		for l := 0; l < len(xi); l++ {
 			xi[l] *= d
 		}
 	}
 }
 
-// WideBatchLanes is the second specialized lane width: twice the
-// default, for hosts whose calibration finds the per-lane cost still
-// dropping past 8 (the substitution kernels gain instruction-level
-// parallelism with width until the lane state outgrows cache).
-const WideBatchLanes = 16
-
-// solveBatch8InPlace is solveBatch8 minus the gather pass: the caller
-// assembled the right-hand sides in permuted row order, so the
-// substitutions run directly in x. On hosts with AVX2 the inner loops
-// run in a hand-written vector kernel performing the identical IEEE
-// multiplies and subtractions in the identical order (each 8-lane row
-// is two 4-lane vectors; lanes are independent, so vectorizing across
-// them reorders nothing within a lane) — results are bit-identical to
-// this Go walk, as the equivalence tests pin.
+// solveBatch8InPlace is the width-8 in-place substitution. Its Go body
+// hoists each row's eight lane accumulators into locals, so they live
+// in registers across the row's nonzero walk (x rows never self-alias
+// — L touches only columns < i, U only columns > i — which the
+// hoisting encodes and the compiler cannot know). On hosts with AVX2
+// the inner loops run in a hand-written vector kernel performing the
+// identical IEEE multiplies and subtractions in the identical order
+// (each 8-lane row is two 4-lane vectors; lanes are independent, so
+// vectorizing across them reorders nothing within a lane) — results
+// are bit-identical to this Go walk, as the equivalence tests pin.
 func (f *realLU) solveBatch8InPlace(x []float64) {
 	if useSolveAVX2 {
 		fwdBack8AVX2(f.lVal, f.lCol, f.lPtr, f.uVal, f.uCol, f.uPtr, f.invDiag, x, f.n)
@@ -551,77 +313,14 @@ func (f *realLU) solveBatch8InPlace(x []float64) {
 	}
 }
 
-// solveBatch16InPlace is the width-16 register-blocked substitution:
-// the same element-wise walk as solveBatch8InPlace with sixteen lane
-// accumulators (four 4-lane vectors per row under AVX2). Per lane the
-// arithmetic order is identical to every other width.
+// solveBatch16InPlace is the width-16 in-place substitution: the
+// vector kernel under AVX2 (four 4-lane vectors per row), else
+// solveWalk over 16-lane array blocks. Per lane the arithmetic order
+// is identical to every other width.
 func (f *realLU) solveBatch16InPlace(x []float64) {
 	if useSolveAVX2 {
 		fwdBack16AVX2(f.lVal, f.lCol, f.lPtr, f.uVal, f.uCol, f.uPtr, f.invDiag, x, f.n)
 		return
 	}
-	const B = WideBatchLanes
-	n := f.n
-	// acc is the row's sixteen lane accumulators: a local block, so the
-	// compiler knows the column loads cannot alias it (x rows never
-	// self-alias — L touches only columns < i, U only columns > i).
-	var acc [B]float64
-	for i := 1; i < n; i++ {
-		xi := (*[B]float64)(x[i*B : i*B+B])
-		if f.lPtr[i] == f.lPtr[i+1] {
-			continue
-		}
-		acc = *xi
-		for k := int(f.lPtr[i]); k < int(f.lPtr[i+1]); k++ {
-			v := f.lVal[k]
-			base := int(f.lCol[k]) * B
-			xj := (*[B]float64)(x[base : base+B])
-			for l := 0; l < B; l++ {
-				acc[l] -= v * xj[l]
-			}
-		}
-		*xi = acc
-	}
-	for i := n - 1; i >= 0; i-- {
-		xi := (*[B]float64)(x[i*B : i*B+B])
-		acc = *xi
-		for k := int(f.uPtr[i]); k < int(f.uPtr[i+1]); k++ {
-			v := f.uVal[k]
-			base := int(f.uCol[k]) * B
-			xj := (*[B]float64)(x[base : base+B])
-			for l := 0; l < B; l++ {
-				acc[l] -= v * xj[l]
-			}
-		}
-		d := f.invDiag[i]
-		for l := 0; l < B; l++ {
-			xi[l] = acc[l] * d
-		}
-	}
-}
-
-// solveIntoElementwise is the element-wise reference walk, kept for
-// the bit-identity tests.
-func (f *realLU) solveIntoElementwise(x, b []float64) {
-	n := f.n
-	if len(b) != n || len(x) != n {
-		panic(fmt.Sprintf("pdn: solveInto with len(x)=%d len(b)=%d n=%d", len(x), len(b), n))
-	}
-	for i := 0; i < n; i++ {
-		x[i] = b[f.perm[i]]
-	}
-	for i := 1; i < n; i++ {
-		sum := x[i]
-		for k := f.lPtr[i]; k < f.lPtr[i+1]; k++ {
-			sum -= f.lVal[k] * x[f.lCol[k]]
-		}
-		x[i] = sum
-	}
-	for i := n - 1; i >= 0; i-- {
-		sum := x[i]
-		for k := f.uPtr[i]; k < f.uPtr[i+1]; k++ {
-			sum -= f.uVal[k] * x[f.uCol[k]]
-		}
-		x[i] = sum * f.invDiag[i]
-	}
+	solveWalk[*[WideBatchLanes]float64](f, x, WideBatchLanes)
 }

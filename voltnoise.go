@@ -150,21 +150,6 @@ func NewLab(p *Platform, opts ...LabOption) (*Lab, error) {
 	return noise.New(p, opts...)
 }
 
-// NewLabWith is the pre-option two-argument constructor.
-//
-// Deprecated: use NewLab with WithSearch.
-func NewLabWith(p *Platform, scfg SearchConfig) (*Lab, error) {
-	return NewLab(p, WithSearch(scfg))
-}
-
-// DefaultLab builds a lab with the calibrated platform and the
-// paper-sized search (9 candidates, 9^6 combinations, top-1000 IPC
-// filter).
-//
-// Deprecated: build the platform explicitly and use NewLab; this
-// wrapper remains so older example code keeps compiling.
-func DefaultLab() (*Lab, error) { return noise.DefaultLab() }
-
 // SearchConfig parameterizes the maximum-power sequence search.
 type SearchConfig = stressmark.SearchConfig
 
@@ -240,13 +225,6 @@ func EPIProfile(ctx context.Context, opts ...EPIOption) (*epi.Profile, error) {
 	return epi.Generate(ctx, cfg)
 }
 
-// EPIProfileWith generates the profile with explicit settings.
-//
-// Deprecated: use EPIProfile with options.
-func EPIProfileWith(cfg epi.Config) (*epi.Profile, error) {
-	return epi.Generate(context.Background(), cfg)
-}
-
 // EPIConfig parameterizes EPI profiling.
 type EPIConfig = epi.Config
 
@@ -297,13 +275,6 @@ func Vmin(ctx context.Context, p *Platform, workloads [NumCores]Workload, opts .
 		o(&cfg)
 	}
 	return vmin.Run(ctx, p, workloads, cfg)
-}
-
-// RunVmin is Vmin with an explicit configuration and no cancellation.
-//
-// Deprecated: use Vmin with options.
-func RunVmin(p *Platform, workloads [NumCores]Workload, cfg VminConfig) (*VminResult, error) {
-	return vmin.Run(context.Background(), p, workloads, cfg)
 }
 
 // MappingOpportunity quantifies the noise-aware workload mapping
