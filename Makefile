@@ -9,8 +9,9 @@
 #   make fuzz-smoke  short fuzzing pass over the request validator,
 #                    the journal replayer and the client's SSE frame
 #                    parser (plus their seed corpora)
-#   make profile     CPU profiles of the FrequencySweep pair into
-#                    results/ for step-kernel hot-spot digging
+#   make profile     CPU profiles of the FrequencySweep pair and the
+#                    core BatchSessionRun windows into results/ for
+#                    step-kernel and load-fill hot-spot digging
 #   make run-service start the voltnoised HTTP service on :8080
 #   make fault       fault-injection suite: store failures, corruption,
 #                    crash recovery, journaled shutdown
@@ -119,16 +120,21 @@ bench-check:
 	$(GO) run ./cmd/benchjson -compare $(BENCH_BASELINE) /tmp/bench-check.json -max-regress $(BENCH_MAX_REGRESS)
 
 # profile captures CPU profiles of the FrequencySweep pair — the
-# serial lane-per-run path and the parallel lockstep-lane path — into
-# results/, along with the test binary pprof needs to symbolize them.
-# Inspect with: go tool pprof results/profile.test results/freqsweep_parallel.pprof
+# serial lane-per-run path and the parallel lockstep-lane path — and of
+# the core layer's BatchSessionRun windows (load fill, step, observers
+# without the study around them) into results/, along with the test
+# binaries pprof needs to symbolize them. Inspect with:
+#   go tool pprof results/profile.test results/freqsweep_parallel.pprof
+#   go tool pprof results/core.test results/batchsession.pprof
 profile:
 	mkdir -p results
 	$(GO) test -run NONE -bench 'FrequencySweepSerial$$' -benchtime 3x \
 		-cpuprofile results/freqsweep_serial.pprof -o results/profile.test .
 	$(GO) test -run NONE -bench 'FrequencySweepParallel$$' -benchtime 3x \
 		-cpuprofile results/freqsweep_parallel.pprof -o results/profile.test .
-	@echo "profiles in results/: freqsweep_serial.pprof freqsweep_parallel.pprof"
+	$(GO) test -run NONE -bench 'BatchSessionRun' -benchtime 20x \
+		-cpuprofile results/batchsession.pprof -o results/core.test ./internal/core
+	@echo "profiles in results/: freqsweep_serial.pprof freqsweep_parallel.pprof batchsession.pprof"
 
 # run-service starts the voltnoised characterization service; stop it
 # with SIGINT/SIGTERM for a graceful queue drain.

@@ -45,30 +45,40 @@ type BatchSession struct {
 	gains [][NumCores]float64
 
 	idle Workload
-	// wl holds each lane's current workloads; the shared load closures
-	// read the active lane's slots through s.lane.
+	// wl holds each lane's current workloads. A slot is one (lane,
+	// core) pair, numbered lane-major: lane*NumCores + core.
 	wl [][NumCores]Workload
-	// pw is the per-lane power scratch the load closures fill each
-	// step, reused by the chip-power accumulators.
-	pw [][NumCores]float64
-	// iq is the per-lane current scratch: the quotient p/vnom each
-	// core's closure computed (or copied from its alias source), so
-	// the (bit-identical) division runs once per distinct workload at
-	// each distinct supply instead of once per core.
-	iq [][NumCores]float64
-	// src[l][i] is the lowest slot in lane-major order (lane*NumCores
-	// + core) whose workload value is identical to core i's, or core
-	// i's own slot. Unlike Session.src the aliasing spans lanes:
-	// lockstep lanes evaluate their loads at the same instants in
-	// ascending lane order, so an identical pure workload produces a
-	// bit-identical power sample wherever it runs first — an aliased
-	// core copies that sample and pays at most the p/vnom division
-	// (and only when its lane's supply differs from the source's).
-	src [][NumCores]int
-	// lane is the lane whose loads the circuit is evaluating right now,
-	// kept current by the engine's onLane hook.
-	lane int
+	// pw holds the power sample fillLoads took this step at every
+	// source slot; the chip-power accumulators read it through src.
+	pw []float64
+
+	// The evaluation plan, rebuilt from wl (and the lane supplies) by
+	// refreshAliases once per run. Every lane evaluates its loads at the
+	// same instant, so an identical pure workload produces a
+	// bit-identical power sample wherever it runs: each step samples
+	// every distinct workload once (evals), divides each sample once
+	// per distinct supply it feeds (quots, results at the head of q),
+	// and every load row then reads its current from q — the uncore
+	// rows from per-lane constants in q's tail.
+	evals []powerEval
+	quots []quotient
+	q     []float64
+	// src[g] is the lowest slot whose workload value is identical to
+	// slot g's (g itself when none is). qOf is laid out like the fill's
+	// rows (load k, lane l at k*lanes+l) and indexes the q entry holding
+	// that current.
+	src []int
+	qOf []int
 }
+
+// powerEval samples workload w into pw[slot].
+type powerEval struct {
+	w    Workload
+	slot int
+}
+
+// quotient divides pw[slot] by lane's effective supply.
+type quotient struct{ slot, lane int }
 
 // NewBatchSession builds a batch session with the given lane count,
 // every lane at nominal voltage (bias 1.0).
@@ -87,9 +97,12 @@ func NewBatchSession(cfg Config, lanes int) (*BatchSession, error) {
 		macros:  make([][NumCores]*skitter.Macro, lanes),
 		gains:   make([][NumCores]float64, lanes),
 		wl:      make([][NumCores]Workload, lanes),
-		pw:      make([][NumCores]float64, lanes),
-		iq:      make([][NumCores]float64, lanes),
-		src:     make([][NumCores]int, lanes),
+		pw:      make([]float64, lanes*NumCores),
+		evals:   make([]powerEval, 0, lanes*NumCores),
+		quots:   make([]quotient, 0, lanes*NumCores),
+		q:       make([]float64, lanes*(NumCores+1)),
+		src:     make([]int, lanes*NumCores),
+		qOf:     make([]int, lanes*(NumCores+1)),
 	}
 	for l := 0; l < lanes; l++ {
 		s.bias[l] = 1.0
@@ -98,7 +111,6 @@ func NewBatchSession(cfg Config, lanes int) (*BatchSession, error) {
 		s.gains[l] = cfg.CoreGain
 		for i := range s.wl[l] {
 			s.wl[l][i] = s.idle
-			s.src[l][i] = l*NumCores + i
 		}
 		if err := s.rebuildMacros(l); err != nil {
 			return nil, err
@@ -107,43 +119,16 @@ func NewBatchSession(cfg Config, lanes int) (*BatchSession, error) {
 
 	pdnCfg := cfg.PDN
 	s.circuit, s.nodes = pdn.ZEC12(pdnCfg)
+	// The loads only name the nodes fillLoads' rows feed — core0..5,
+	// then uncore; the engine never calls their closures.
+	filled := func(float64) float64 { panic("core: batch session loads come from fillLoads") }
 	for i := 0; i < NumCores; i++ {
-		// Same linearization as Session: I(t) = P(t)/Vnom at the active
-		// lane's effective supply, with the power sample parked in the
-		// lane's scratch slot.
-		i := i
-		s.circuit.AddLoad(fmt.Sprintf("core%d", i), s.nodes.Core[i],
-			func(t float64) float64 {
-				l := s.lane
-				if g := s.src[l][i]; g != l*NumCores+i {
-					// The source slot — an earlier core of this lane or any
-					// core of an earlier lane — ran first this step at the
-					// same instant, so its power sample is bit-identical to
-					// what this core's workload would produce. The division
-					// re-runs only when the two lanes' supplies differ.
-					r, j := g/NumCores, g%NumCores
-					p := s.pw[r][j]
-					q := s.iq[r][j]
-					if s.vnom[l] != s.vnom[r] {
-						q = p / s.vnom[l]
-					}
-					s.pw[l][i] = p
-					s.iq[l][i] = q
-					return q
-				}
-				p := s.wl[l][i].Power(t)
-				s.pw[l][i] = p
-				q := p / s.vnom[l]
-				s.iq[l][i] = q
-				return q
-			})
+		s.circuit.AddLoad(fmt.Sprintf("core%d", i), s.nodes.Core[i], filled)
 	}
-	s.circuit.AddLoad("uncore", s.nodes.L3, func(float64) float64 { return s.uncoreI[s.lane] })
-	// Every lane starts idle on every core, so the construction-time DC
-	// solve already dedupes down to one Power evaluation per step.
+	s.circuit.AddLoad("uncore", s.nodes.L3, filled)
 	s.refreshAliases()
 
-	bt, err := pdn.NewBatchTransientAt(s.circuit, cfg.Dt, 0, lanes, func(l int) { s.lane = l })
+	bt, err := pdn.NewBatchTransientFill(s.circuit, cfg.Dt, 0, lanes, s.fillLoads)
 	if err != nil {
 		return nil, err
 	}
@@ -196,31 +181,66 @@ func (s *BatchSession) SetVoltageBias(bias float64) error {
 	return nil
 }
 
-// refreshAliases recomputes the whole-batch alias map from every
-// lane's workload slots. A core's alias source may be any earlier slot
-// in lane-major order — an earlier core of its own lane, or any core
-// of an earlier lane — because the first matching slot's closure has
-// always run by the time the aliased core's is evaluated, within the
-// same step at the same instant. The first match is never itself an
-// alias (its own scan found nothing earlier), so alias chains are
-// depth one and every copy reads a freshly computed sample.
+// refreshAliases rebuilds the evaluation plan from every lane's
+// workload slots. A slot's source may be any earlier slot in lane-major
+// order — an earlier core of its own lane, or any core of an earlier
+// lane. The lowest matching slot is always a source itself, so scanning
+// the sources found so far finds it, and evals stay in ascending slot
+// order: lane-outer, the order lane-per-run sessions would sample in.
+// A quotient is shared by every slot with the same source at the same
+// supply, the division being bit-identical there. Lane supplies change
+// only between runs, so the uncore currents are snapshotted here.
 func (s *BatchSession) refreshAliases() {
+	s.evals, s.quots = s.evals[:0], s.quots[:0]
 	for l := 0; l < s.lanes; l++ {
-		for i := range s.wl[l] {
-			me := l*NumCores + i
-			s.src[l][i] = me
-			for g := 0; g < me; g++ {
-				r, j := g/NumCores, g%NumCores
-				if !sameWorkload(s.wl[r][j], s.wl[l][i]) {
-					continue
+		for i, w := range s.wl[l] {
+			g := l*NumCores + i
+			src := g
+			for _, e := range s.evals {
+				if sameWorkload(e.w, w) {
+					src = e.slot
+					break
 				}
-				if _, fixed := s.circuit.FixedVoltage(s.nodes.Core[j]); fixed {
-					continue
+			}
+			if src == g {
+				s.evals = append(s.evals, powerEval{w: w, slot: g})
+			}
+			s.src[g] = src
+			qi := i*s.lanes + l
+			s.qOf[qi] = -1
+			for k, d := range s.quots {
+				if d.slot == src && s.vnom[d.lane] == s.vnom[l] {
+					s.qOf[qi] = k
+					break
 				}
-				s.src[l][i] = g
-				break
+			}
+			if s.qOf[qi] < 0 {
+				s.qOf[qi] = len(s.quots)
+				s.quots = append(s.quots, quotient{slot: src, lane: l})
 			}
 		}
+	}
+	n := len(s.quots)
+	for l, cur := range s.uncoreI {
+		s.q[n+l] = cur
+		s.qOf[NumCores*s.lanes+l] = n + l
+	}
+}
+
+// fillLoads is the engine's pdn.LoadFill: it runs the evaluation plan
+// at time t and writes every load's row — each core's I = P/Vnom at its
+// lane's effective supply (Session's linearization), then the uncore
+// current.
+func (s *BatchSession) fillLoads(t float64, dst []float64) {
+	for _, e := range s.evals {
+		s.pw[e.slot] = e.w.Power(t)
+	}
+	for k, d := range s.quots {
+		s.q[k] = s.pw[d.slot] / s.vnom[d.lane]
+	}
+	dst = dst[:len(s.qOf)]
+	for j, k := range s.qOf {
+		dst[j] = s.q[k]
 	}
 }
 
@@ -320,6 +340,16 @@ func (s *BatchSession) RunBatchContext(ctx context.Context, specs []RunSpec) ([]
 		}
 	}
 	start := specs[0].Start
+	defer func() {
+		// Drop workload references, the plan's included, so pooled
+		// sessions don't pin them — canceled and failed runs too.
+		for l := range s.wl {
+			for i := range s.wl[l] {
+				s.wl[l][i] = s.idle
+			}
+		}
+		s.refreshAliases()
+	}()
 	for l := 0; l < s.lanes; l++ {
 		for i := range s.wl[l] {
 			if specs[l].Workloads[i] == nil {
@@ -408,15 +438,14 @@ func (s *BatchSession) RunBatchContext(ctx context.Context, specs []RunSpec) ([]
 			return nil, err
 		}
 		observe(st)
-		// Chip power per lane, from the samples the load closures just
-		// took for each lane.
+		// Chip power per lane, from the samples fillLoads just took.
 		for l := 0; l < s.lanes; l++ {
 			if st > laneSteps[l] {
 				continue
 			}
 			pw := s.cfg.UncorePower
-			for i := 0; i < NumCores; i++ {
-				pw += s.pw[l][i]
+			for _, g := range s.src[l*NumCores : (l+1)*NumCores] {
+				pw += s.pw[g]
 			}
 			energy[l] += pw * s.cfg.Dt
 		}
@@ -429,10 +458,6 @@ func (s *BatchSession) RunBatchContext(ctx context.Context, specs []RunSpec) ([]
 		}
 		m.NominalPos = s.macros[l][0].Config().NominalPosition()
 		m.ChipPowerMilliwatts = int64(math.Round(energy[l] / specs[l].Duration * 1000))
-		// Drop workload references so pooled sessions don't pin them.
-		for i := range s.wl[l] {
-			s.wl[l][i] = s.idle
-		}
 	}
 	return meas, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -22,12 +23,24 @@ func laneWorkload(lane int) Workload {
 	}}
 }
 
+// batchTestWidths are the lane widths the lockstep contract tests run
+// at: a ragged width on the generic step, and the two fixed-block
+// widths production runs.
+var batchTestWidths = []int{3, pdn.DefaultBatchLanes, pdn.WideBatchLanes}
+
 // TestBatchSessionMatchesSessions is the batch engine's core contract:
 // every lane of a heterogeneous batch (different workloads per lane,
 // one lane recording traces) is bit-identical to running that lane's
 // spec alone on a single-lane Session.
 func TestBatchSessionMatchesSessions(t *testing.T) {
-	const lanes = 3
+	for _, lanes := range batchTestWidths {
+		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
+			checkBatchMatchesSessions(t, lanes)
+		})
+	}
+}
+
+func checkBatchMatchesSessions(t *testing.T, lanes int) {
 	cfg := DefaultConfig()
 	bs, err := NewBatchSession(cfg, lanes)
 	if err != nil {
@@ -36,7 +49,7 @@ func TestBatchSessionMatchesSessions(t *testing.T) {
 	specs := make([]RunSpec, lanes)
 	for l := range specs {
 		var wl [NumCores]Workload
-		for i := 0; i <= l; i++ {
+		for i := 0; i <= l%NumCores; i++ {
 			wl[i] = laneWorkload(l)
 		}
 		specs[l] = RunSpec{Workloads: wl, Start: 0, Duration: 20e-6, Record: l == 1}
@@ -54,7 +67,7 @@ func TestBatchSessionMatchesSessions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		identicalMeasurements(t, map[int]string{0: "lane0", 1: "lane1", 2: "lane2"}[l], got[l], want)
+		identicalMeasurements(t, fmt.Sprintf("lane%d", l), got[l], want)
 	}
 }
 
@@ -214,6 +227,14 @@ func (w countingWorkload) Name() string          { return "counting" }
 // (current reused verbatim), or an earlier lane at a different supply
 // (power copied, division redone).
 func TestBatchSessionCrossLaneDedup(t *testing.T) {
+	for _, lanes := range batchTestWidths {
+		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
+			checkBatchCrossLaneDedup(t, lanes)
+		})
+	}
+}
+
+func checkBatchCrossLaneDedup(t *testing.T, lanes int) {
 	cfg := DefaultConfig()
 	shared := Steady("stress", 37.5)
 	tr := signal.NewTrace(cfg.Dt, 8)
@@ -224,7 +245,10 @@ func TestBatchSessionCrossLaneDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	biases := []float64{1.0, 0.95, 1.0, 0.9}
+	biases := make([]float64, lanes)
+	for l := range biases {
+		biases[l] = []float64{1.0, 0.95, 1.0, 0.9}[l%4]
+	}
 	bs, err := NewBatchSession(cfg, len(biases))
 	if err != nil {
 		t.Fatal(err)
@@ -238,9 +262,9 @@ func TestBatchSessionCrossLaneDedup(t *testing.T) {
 		wl[0] = shared        // every lane: cross-lane alias at mixed supplies
 		wl[2] = oscWorkload() // FuncWorkload: deliberately never deduplicated
 		if l%2 == 0 {
-			wl[3] = tw // shared pointer workload, lanes 0 and 2 only
+			wl[3] = tw // shared pointer workload, even lanes only
 		}
-		if l == 1 {
+		if l%4 == 1 {
 			wl[4] = shared // in-lane alias inside a non-root lane
 		}
 		specs[l] = RunSpec{Workloads: wl, Start: 0, Duration: 12e-6}
@@ -272,29 +296,30 @@ func TestBatchSessionCrossLaneDedup(t *testing.T) {
 // anything close to per-lane or per-core evaluation.
 func TestBatchSessionDedupEvaluatesOnce(t *testing.T) {
 	cfg := DefaultConfig()
-	const lanes = 4
-	bs, err := NewBatchSession(cfg, lanes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := 0
-	var wl [NumCores]Workload
-	for i := range wl {
-		wl[i] = countingWorkload{n: &count, watts: 33}
-	}
-	specs := make([]RunSpec, lanes)
-	for l := range specs {
-		specs[l] = RunSpec{Workloads: wl, Start: 0, Duration: 10e-6, Warmup: 5e-6}
-	}
-	if _, err := bs.RunBatch(specs); err != nil {
-		t.Fatal(err)
-	}
-	steps := int(math.Round(15e-6/cfg.Dt)) + 2 // warmup + window + DC init
-	if count > steps {
-		t.Errorf("shared workload evaluated %d times over ~%d steps; dedup not engaging", count, steps)
-	}
-	if count == 0 {
-		t.Error("shared workload never evaluated")
+	for _, lanes := range []int{4, pdn.WideBatchLanes} {
+		bs, err := NewBatchSession(cfg, lanes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		count := 0
+		var wl [NumCores]Workload
+		for i := range wl {
+			wl[i] = countingWorkload{n: &count, watts: 33}
+		}
+		specs := make([]RunSpec, lanes)
+		for l := range specs {
+			specs[l] = RunSpec{Workloads: wl, Start: 0, Duration: 10e-6, Warmup: 5e-6}
+		}
+		if _, err := bs.RunBatch(specs); err != nil {
+			t.Fatal(err)
+		}
+		steps := int(math.Round(15e-6/cfg.Dt)) + 2 // warmup + window + DC init
+		if count > steps {
+			t.Errorf("lanes=%d: shared workload evaluated %d times over ~%d steps; dedup not engaging", lanes, count, steps)
+		}
+		if count == 0 {
+			t.Errorf("lanes=%d: shared workload never evaluated", lanes)
+		}
 	}
 }
 
@@ -438,7 +463,9 @@ func TestBatchSessionValidation(t *testing.T) {
 }
 
 // TestBatchSessionCancellation: a canceled context interrupts the
-// lockstep window and leaves the session reusable.
+// lockstep window, leaves every workload slot (and the evaluation plan)
+// back at idle so a pooled session pins nothing of the run, and leaves
+// the session reusable.
 func TestBatchSessionCancellation(t *testing.T) {
 	cfg := DefaultConfig()
 	bs, err := NewBatchSession(cfg, 2)
@@ -450,12 +477,70 @@ func TestBatchSessionCancellation(t *testing.T) {
 	if _, err := bs.RunBatchContext(ctx, make([]RunSpec, 2)); err == nil {
 		t.Error("invalid zero-duration specs accepted")
 	}
-	specs := []RunSpec{{Duration: 10e-6}, {Duration: 10e-6}}
+	var wl [NumCores]Workload
+	for i := range wl {
+		wl[i] = Steady("stress", 30+float64(i))
+	}
+	specs := []RunSpec{{Workloads: wl, Duration: 10e-6}, {Workloads: wl, Duration: 10e-6}}
 	if _, err := bs.RunBatchContext(ctx, specs); err != context.Canceled {
 		t.Errorf("canceled batch returned %v, want context.Canceled", err)
 	}
+	for l := range bs.wl {
+		for i, w := range bs.wl[l] {
+			if w != bs.idle {
+				t.Errorf("lane %d core %d still holds %q after a canceled run", l, i, w.Name())
+			}
+		}
+	}
+	for _, e := range bs.evals {
+		if e.w != bs.idle {
+			t.Errorf("evaluation plan still holds %q after a canceled run", e.w.Name())
+		}
+	}
 	if _, err := bs.RunBatchContext(context.Background(), specs); err != nil {
 		t.Errorf("session unusable after cancellation: %v", err)
+	}
+}
+
+// TestBatchSessionSteadyStateAllocs mirrors TestSessionSteadyStateAllocs
+// at the fixed-block widths: a reused batch session allocates only its
+// measurements and the per-run bookkeeping — nothing per step, and no
+// interface boxing in the load fill.
+func TestBatchSessionSteadyStateAllocs(t *testing.T) {
+	cfg := DefaultConfig()
+	tr := signal.NewTrace(cfg.Dt, 8)
+	for i := range tr.Samples {
+		tr.Samples[i] = 20 + 3*float64(i%4)
+	}
+	tw, err := NewTraceWorkload("ripple", tr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lanes := range []int{pdn.DefaultBatchLanes, pdn.WideBatchLanes} {
+		bs, err := NewBatchSession(cfg, lanes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs := make([]RunSpec, lanes)
+		for l := range specs {
+			var wl [NumCores]Workload
+			wl[0], wl[1] = Steady("steady", 30+float64(l)), tw
+			wl[2] = oscWorkload()
+			specs[l] = RunSpec{Workloads: wl, Warmup: 1e-6, Duration: 2e-6}
+		}
+		if _, err := bs.RunBatch(specs); err != nil { // prime
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := bs.RunBatch(specs); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// One Measurement per lane, the result slice and two per-lane
+		// scratch slices; the ~1500-step integration must add nothing.
+		if limit := float64(lanes + 4); allocs > limit {
+			t.Errorf("lanes=%d: steady-state RunBatch allocates %v objects per run, want <= %v", lanes, allocs, limit)
+		}
 	}
 }
 
@@ -492,5 +577,53 @@ func TestSessionPoolBatch(t *testing.T) {
 		t.Fatal(err)
 	} else if other.Lanes() != 3 {
 		t.Errorf("GetBatch(3) returned width %d", other.Lanes())
+	}
+}
+
+// squareWorkload is a comparable square-wave workload: every core of a
+// lane holding the same value is one synchronized stressmark, sampled
+// once per step by the batch session's evaluation plan.
+type squareWorkload struct{ period, hi, lo float64 }
+
+func (w squareWorkload) Power(t float64) float64 {
+	if math.Mod(t, w.period) < w.period/2 {
+		return w.hi
+	}
+	return w.lo
+}
+func (w squareWorkload) Name() string { return "square" }
+
+// BenchmarkBatchSessionRun times one lockstep window at the fixed-block
+// widths, each lane one synchronized frequency-sweep point across the
+// first-droop resonance — the shape of a freq_sweep chunk — and reports
+// ns per lane-step (warmup included), the unit the per-layer ledger
+// uses.
+func BenchmarkBatchSessionRun(b *testing.B) {
+	const warmup, window = 5e-6, 20e-6
+	cfg := DefaultConfig()
+	for _, lanes := range []int{pdn.DefaultBatchLanes, pdn.WideBatchLanes} {
+		b.Run(fmt.Sprintf("Lanes%d", lanes), func(b *testing.B) {
+			bs, err := NewBatchSession(cfg, lanes)
+			if err != nil {
+				b.Fatal(err)
+			}
+			specs := make([]RunSpec, lanes)
+			for l, f := range pdn.LogSpace(1e6, 4e6, lanes) {
+				var wl [NumCores]Workload
+				for i := range wl {
+					wl[i] = squareWorkload{period: 1 / f, hi: 50, lo: 16}
+				}
+				specs[l] = RunSpec{Workloads: wl, Warmup: warmup, Duration: window}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := bs.RunBatch(specs); err != nil {
+					b.Fatal(err)
+				}
+			}
+			laneSteps := float64(b.N*lanes) * math.Round((warmup+window)/cfg.Dt)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/laneSteps, "ns/lane-step")
+		})
 	}
 }

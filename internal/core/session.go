@@ -220,6 +220,13 @@ func (s *Session) RunContext(ctx context.Context, spec RunSpec) (*Measurement, e
 	if warmup < 0 {
 		return nil, fmt.Errorf("core: negative warmup %g", warmup)
 	}
+	defer func() {
+		// Drop workload references so pooled sessions don't pin them —
+		// canceled and failed runs too.
+		for i := range s.wl {
+			s.wl[i] = s.idle
+		}
+	}()
 	for i := range s.wl {
 		if spec.Workloads[i] == nil {
 			s.wl[i] = s.idle
@@ -303,10 +310,6 @@ func (s *Session) RunContext(ctx context.Context, spec RunSpec) (*Measurement, e
 	}
 	meas.NominalPos = s.macros[0].Config().NominalPosition()
 	meas.ChipPowerMilliwatts = int64(math.Round(energy / spec.Duration * 1000))
-	// Drop workload references so pooled sessions don't pin them.
-	for i := range s.wl {
-		s.wl[i] = s.idle
-	}
 	return meas, nil
 }
 

@@ -222,3 +222,27 @@ func TestSessionSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state Run allocates %v objects per run, want <= 4", allocs)
 	}
 }
+
+// TestSessionCancellationIdlesSlots: a canceled run leaves every
+// workload slot back at idle, so a pooled session pins nothing of the
+// run — the Session twin of TestBatchSessionCancellation.
+func TestSessionCancellationIdlesSlots(t *testing.T) {
+	s, err := NewSession(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wl [NumCores]Workload
+	for i := range wl {
+		wl[i] = Steady("stress", 30+float64(i))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.RunContext(ctx, RunSpec{Workloads: wl, Duration: 10e-6}); err != context.Canceled {
+		t.Fatalf("canceled run returned %v, want context.Canceled", err)
+	}
+	for i, w := range s.wl {
+		if w != s.idle {
+			t.Errorf("core %d still holds %q after a canceled run", i, w.Name())
+		}
+	}
+}

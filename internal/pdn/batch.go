@@ -7,12 +7,12 @@ import (
 // BatchTransient advances B independent load lanes in lockstep through
 // one shared circuit. Every lane sees the same topology and element
 // values — the companion and DC matrices are stamped and LU-factored
-// exactly once — but each lane evaluates the circuit's loads against
-// its own state (selected through the onLane hook) and may pin fixed
-// supplies to lane-specific potentials. The per-step solve becomes a
-// multi-RHS forward/back substitution over a contiguous n×B block, and
-// the step-plan walk and companion updates are amortized across all
-// lanes, so a width-8 batch costs far less than 8 single-lane engines.
+// exactly once — but each lane draws its own load currents (written by
+// the engine's LoadFill) and may pin fixed supplies to lane-specific
+// potentials. The per-step solve becomes a multi-RHS forward/back
+// substitution over a contiguous n×B block, and the step-plan walk and
+// companion updates are amortized across all lanes, so a width-8 batch
+// costs far less than 8 single-lane engines.
 //
 // Lane state is laid out lane-innermost (row i, lane l at i*B+l): the
 // hot loops stream contiguous lane-width runs and carry B independent
@@ -39,9 +39,14 @@ type BatchTransient struct {
 	idxP    []int
 	unkNode []int32
 
-	// onLane selects a lane before its loads are evaluated, so the
-	// owner can swap the workload state the load closures read.
-	onLane func(lane int)
+	// fill writes every load's current for every lane into loadCur
+	// (load k, lane l at k*B+l). loads is the circuit's load list as of
+	// construction or the last Reset, and loadP[k] is load k's permuted
+	// RHS slot, or -1 when its node is fixed (its row is then ignored).
+	fill    LoadFill
+	loads   []*Load
+	loadP   []int
+	loadCur []float64
 
 	// Per-element companion state; the lane dimension is innermost.
 	// vab/ibr hold the DC operating point only: past the first step,
@@ -75,6 +80,17 @@ type BatchTransient struct {
 	step int
 }
 
+// LoadFill writes the current of every load of a batch engine's
+// circuit, at simulation time t, for every lane into dst: load k (in
+// Circuit.Loads order), lane l at dst[k*lanes+l]. Storage is
+// lane-innermost so the step walk subtracts each load's row from its
+// RHS row in one contiguous pass. Rows of loads on fixed nodes are
+// ignored. The engine calls the fill once per step, at the step's new
+// time, and once per construction or Reset, at the start time; a fill
+// that evaluates stateful sources must take each lane's samples in the
+// same order as a single-lane engine would.
+type LoadFill func(t float64, dst []float64)
+
 // NewBatchTransient prepares a lockstep batch simulation of c with
 // fixed timestep dt, starting at time zero. See NewBatchTransientAt.
 func NewBatchTransient(c *Circuit, dt float64, lanes int, onLane func(lane int)) (*BatchTransient, error) {
@@ -83,13 +99,56 @@ func NewBatchTransient(c *Circuit, dt float64, lanes int, onLane func(lane int))
 
 // NewBatchTransientAt prepares a lockstep batch simulation of c with
 // fixed timestep dt and the given lane count, starting at simulation
-// time start. onLane (may be nil) is invoked with the lane index
-// immediately before that lane's loads are evaluated — during
-// construction, Reset, and every Step — so load closures shared by all
-// lanes can read lane-local workload state. Each lane is initialized
-// to its own DC operating point, exactly as NewTransientAt does for a
-// single lane.
+// time start. Loads are evaluated through their Current closures:
+// onLane (may be nil) is invoked with the lane index immediately before
+// that lane's loads are evaluated — during construction, Reset, and
+// every Step — so load closures shared by all lanes can read lane-local
+// workload state. Lanes are visited in ascending order and, within a
+// lane, loads in insertion order; loads on fixed nodes are never
+// called. The load list is read at construction and at every Reset, so
+// a load attached later joins at the next Reset. Each lane is
+// initialized to its own DC operating point, exactly as NewTransientAt
+// does for a single lane.
 func NewBatchTransientAt(c *Circuit, dt, start float64, lanes int, onLane func(lane int)) (*BatchTransient, error) {
+	t, err := newBatchTransient(c, dt, start, lanes)
+	if err != nil {
+		return nil, err
+	}
+	t.fill = func(tm float64, dst []float64) {
+		for l := 0; l < lanes; l++ {
+			if onLane != nil {
+				onLane(l)
+			}
+			for k, ld := range t.loads {
+				if t.loadP[k] >= 0 {
+					dst[k*lanes+l] = ld.Current(tm)
+				}
+			}
+		}
+	}
+	return t, t.initState()
+}
+
+// NewBatchTransientFill prepares a lockstep batch simulation of c whose
+// load currents come from fill (see LoadFill) rather than the loads'
+// Current closures, which the engine then never calls: the circuit's
+// loads only name the nodes the fill's rows feed. Otherwise it matches
+// NewBatchTransientAt.
+func NewBatchTransientFill(c *Circuit, dt, start float64, lanes int, fill LoadFill) (*BatchTransient, error) {
+	if fill == nil {
+		return nil, fmt.Errorf("pdn: nil batch load fill")
+	}
+	t, err := newBatchTransient(c, dt, start, lanes)
+	if err != nil {
+		return nil, err
+	}
+	t.fill = fill
+	return t, t.initState()
+}
+
+// newBatchTransient builds everything but the load fill and the
+// initial state.
+func newBatchTransient(c *Circuit, dt, start float64, lanes int) (*BatchTransient, error) {
 	if dt <= 0 {
 		return nil, fmt.Errorf("pdn: non-positive timestep %g", dt)
 	}
@@ -102,7 +161,6 @@ func NewBatchTransientAt(c *Circuit, dt, start float64, lanes int, onLane func(l
 	}
 	t := &BatchTransient{
 		c: c, dt: dt, lanes: lanes, idx: idx, n: n, time: start,
-		onLane:   onLane,
 		vab:      make([]float64, len(c.elements)*lanes),
 		ibr:      make([]float64, len(c.elements)*lanes),
 		hist:     make([]float64, len(c.elements)*lanes),
@@ -133,9 +191,6 @@ func NewBatchTransientAt(c *Circuit, dt, start float64, lanes int, onLane func(l
 	}
 	t.dcLU = dcLU
 	t.buildPlan()
-	if err := t.initState(); err != nil {
-		return nil, err
-	}
 	return t, nil
 }
 
@@ -227,7 +282,7 @@ func (t *BatchTransient) BranchCurrent(lane, i int) float64 {
 // lane's DC operating point from the circuit's current loads and the
 // lane's fixed potentials. Neither nodal matrix is re-stamped or
 // re-factored, so a batch session can retune lane supplies, swap what
-// the load closures compute, and restart from here at the cost of one
+// the load fill computes, and restart from here at the cost of one
 // linear solve per lane.
 func (t *BatchTransient) Reset(start float64) error {
 	t.time = start
@@ -237,10 +292,21 @@ func (t *BatchTransient) Reset(start float64) error {
 }
 
 // buildPlan captures the per-step RHS contributions, snapshotting each
-// lane's fixed-node potentials in effect now. The entry list (and so
-// the accumulation order per lane) is identical to the single-lane
-// plan: hasFA/hasFB depend only on topology, never on lane state.
+// lane's fixed-node potentials and the circuit's load list in effect
+// now. The entry list (and so the accumulation order per lane) is
+// identical to the single-lane plan: hasFA/hasFB depend only on
+// topology, never on lane state.
 func (t *BatchTransient) buildPlan() {
+	t.loads = t.c.loads[:len(t.c.loads):len(t.c.loads)]
+	t.loadP = t.loadP[:0]
+	for _, ld := range t.loads {
+		t.loadP = append(t.loadP, t.idxP[ld.Node])
+	}
+	if need := len(t.loads) * t.lanes; cap(t.loadCur) < need {
+		t.loadCur = make([]float64, need)
+	} else {
+		t.loadCur = t.loadCur[:need]
+	}
 	t.plan = t.plan[:0]
 	for ei, e := range t.c.elements {
 		pe := stepElem{kind: e.kind, ei: ei, geq: t.geq[ei], na: int(e.a), nb: int(e.b), ia: t.idx[e.a], ib: t.idx[e.b]}
@@ -275,12 +341,13 @@ func (t *BatchTransient) buildPlan() {
 }
 
 // initState derives each lane's initial condition from its DC
-// operating point: loads evaluated at the current simulation time (for
-// that lane, via onLane) against the cached DC factorization. The
-// per-lane arithmetic mirrors Transient.initState exactly.
+// operating point: loads filled at the current simulation time, each
+// lane reading its own column, against the cached DC factorization.
+// The per-lane arithmetic mirrors Transient.initState exactly.
 func (t *BatchTransient) initState() error {
 	c := t.c
 	B := t.lanes
+	t.fill(t.time, t.loadCur)
 	for l := 0; l < B; l++ {
 		rhs, sol := t.laneRHS, t.laneSol
 		for i := range rhs {
@@ -299,12 +366,9 @@ func (t *BatchTransient) initState() error {
 				rhs[ib] += ge * t.fixedPot[int(e.a)*B+l]
 			}
 		}
-		if t.onLane != nil {
-			t.onLane(l)
-		}
-		for _, ld := range c.loads {
+		for k, ld := range t.loads {
 			if i := t.idx[ld.Node]; i >= 0 {
-				rhs[i] -= ld.Current(t.time)
+				rhs[i] -= t.loadCur[k*B+l]
 			}
 		}
 		t.dcLU.solveInto(sol, rhs)
@@ -362,7 +426,6 @@ func (t *BatchTransient) Step() error {
 // single-lane Transient.Step, so lanes stay bit-identical to
 // single-lane engines at every width.
 func stepWalk[P laneBlock](t *BatchTransient) error {
-	c := t.c
 	B := blockLanes[P](t.lanes)
 	next := t.time + t.dt
 	rhs := t.rhs
@@ -458,16 +521,18 @@ func stepWalk[P laneBlock](t *BatchTransient) error {
 			}
 		}
 	}
-	// Loads evaluated at the new time, lane by lane (backward-looking
-	// sources keep the trapezoidal solve linear).
-	for l := 0; l < B; l++ {
-		if t.onLane != nil {
-			t.onLane(l)
+	// Loads filled at the new time (backward-looking sources keep the
+	// trapezoidal solve linear). Per lane each RHS row still subtracts
+	// its loads in insertion order.
+	t.fill(next, t.loadCur)
+	for k, i := range t.loadP {
+		if i < 0 {
+			continue
 		}
-		for _, ld := range c.loads {
-			if i := t.idxP[ld.Node]; i >= 0 {
-				rhs[i*B+l] -= ld.Current(next)
-			}
+		cur := P(t.loadCur[k*B : k*B+B])
+		r := P(rhs[i*B : i*B+B])
+		for l := 0; l < len(r); l++ {
+			r[l] -= cur[l]
 		}
 	}
 	t.lu.solveBatchInPlace(rhs, B)
@@ -498,14 +563,16 @@ func stepWalk[P laneBlock](t *BatchTransient) error {
 }
 
 // LaneFootprintBytes reports the engine state one lane streams through
-// per step — companion state, potentials, right-hand side, and plan
-// contributions — for the width-calibration footprint gate: widths
-// whose total working set outgrows cache stop paying for themselves.
+// per step — companion state, potentials, right-hand side, plan
+// contributions and load currents — for the width-calibration
+// footprint gate: widths whose total working set outgrows cache stop
+// paying for themselves.
 func (t *BatchTransient) LaneFootprintBytes() int {
 	perLane := 3*len(t.c.elements) + // vab, ibr, hist
 		2*t.c.NumNodes() + // pots, fixedPot
 		t.n + // rhs
-		2*len(t.plan) // planFA, planFB
+		2*len(t.plan) + // planFA, planFB
+		len(t.loads) // loadCur
 	return 8 * perLane
 }
 

@@ -47,6 +47,26 @@ func newBatchRLC(t *testing.T, lanes int, start float64) (*BatchTransient, NodeI
 	return bt, out
 }
 
+// newBatchRLCFill is newBatchRLC with the lane waveforms written by a
+// dense LoadFill; the engine must never call the load's closure.
+func newBatchRLCFill(t *testing.T, lanes int, start float64) (*BatchTransient, NodeID) {
+	t.Helper()
+	ckt, out := rlcWithLoad(func(float64) float64 { panic("filled load's closure called") })
+	waves := make([]func(float64) float64, lanes)
+	for l := range waves {
+		waves[l] = batchWave(l)
+	}
+	bt, err := NewBatchTransientFill(ckt, 1e-9, start, lanes, func(tm float64, dst []float64) {
+		for l, w := range waves {
+			dst[l] = w(tm)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bt, out
+}
+
 // solveModes lists the substitution bodies a host can run: the vector
 // kernels where available, and always the pure-Go fallback.
 func solveModes() []bool {
@@ -85,7 +105,9 @@ func TestBatch16LanesMatchSingleLane(t *testing.T) {
 }
 
 // checkWidthMatchesSingles runs the lockstep contract for one batch
-// width over every solve body the host has and two start times.
+// width over every solve body the host has, two start times, and both
+// load paths: the onLane closure fill, then a dense LoadFill in the
+// nested "dense" case.
 func checkWidthMatchesSingles(t *testing.T, lanes int) {
 	modes, saved := solveModes(), useSolveAVX2
 	defer func() { useSolveAVX2 = saved }()
@@ -93,16 +115,23 @@ func checkWidthMatchesSingles(t *testing.T, lanes int) {
 		for _, start := range []float64{0, -3e-6} {
 			t.Run(fmt.Sprintf("vector=%v/start=%g", vec, start), func(t *testing.T) {
 				useSolveAVX2 = vec
-				checkBatchMatchesSingles(t, lanes, start)
+				checkBatchMatchesSingles(t, lanes, start, false)
+				t.Run("dense", func(t *testing.T) {
+					checkBatchMatchesSingles(t, lanes, start, true)
+				})
 			})
 		}
 	}
 }
 
-// checkBatchMatchesSingles runs one width/start case of the lockstep
-// contract.
-func checkBatchMatchesSingles(t *testing.T, lanes int, start float64) {
-	bt, _ := newBatchRLC(t, lanes, start)
+// checkBatchMatchesSingles runs one width/start/load-path case of the
+// lockstep contract.
+func checkBatchMatchesSingles(t *testing.T, lanes int, start float64, dense bool) {
+	newBatch := newBatchRLC
+	if dense {
+		newBatch = newBatchRLCFill
+	}
+	bt, _ := newBatch(t, lanes, start)
 	singles := make([]*Transient, lanes)
 	for l := range singles {
 		ckt, _ := rlcWithLoad(batchWave(l))
@@ -242,6 +271,9 @@ func TestBatchRejectsBadArgs(t *testing.T) {
 	}
 	if _, err := NewBatchTransient(ckt, 1e-9, 0, nil); err == nil {
 		t.Error("zero lanes accepted")
+	}
+	if _, err := NewBatchTransientFill(ckt, 1e-9, 0, 4, nil); err == nil {
+		t.Error("nil load fill accepted")
 	}
 	const lanes = 3
 	bt, err := NewBatchTransient(ckt, 1e-9, lanes, nil)

@@ -98,10 +98,10 @@ func byteIdentical(t *testing.T, label string, got, want []float64) {
 	}
 }
 
-// TestBlockedSolveMatchesElementwiseZEC12: on the production zEC12
+// TestSolveIntoMatchesElementwiseZEC12: on the production zEC12
 // factor, solveInto (the DC operating-point solve: gather, then the
 // in-place walk) is byte-identical to the element-wise reference.
-func TestBlockedSolveMatchesElementwiseZEC12(t *testing.T) {
+func TestSolveIntoMatchesElementwiseZEC12(t *testing.T) {
 	lu := zec12LU(t)
 	rng := rand.New(rand.NewSource(42))
 	n := lu.n
@@ -118,11 +118,11 @@ func TestBlockedSolveMatchesElementwiseZEC12(t *testing.T) {
 	}
 }
 
-// TestBlockedSolveMatchesElementwiseRandom: randomized small circuits —
+// TestSolveIntoMatchesElementwiseRandom: randomized small circuits —
 // random sparse diagonally-dominant matrices with scattered zero
 // patterns — keep solveInto byte-identical to the element-wise
 // reference.
-func TestBlockedSolveMatchesElementwiseRandom(t *testing.T) {
+func TestSolveIntoMatchesElementwiseRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 40; trial++ {
 		n := 2 + rng.Intn(20)
@@ -152,9 +152,9 @@ func TestBlockedSolveMatchesElementwiseRandom(t *testing.T) {
 	}
 }
 
-// TestBlockedStepAllocs: the single-lane transient step stays at zero
+// TestTransientStepAllocs: the single-lane transient step stays at zero
 // allocations on the production zEC12 network.
-func TestBlockedStepAllocs(t *testing.T) {
+func TestTransientStepAllocs(t *testing.T) {
 	ckt, nodes := ZEC12(DefaultZEC12Config())
 	ckt.AddLoad("core", nodes.Core[0], func(tm float64) float64 { return 20 + 10*math.Sin(tm*1e7) })
 	tr, err := NewTransient(ckt, 2e-9)
