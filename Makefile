@@ -7,8 +7,8 @@
 #   make bench-check fresh run compared against the committed snapshot
 #                    (prints the per-benchmark delta table either way)
 #   make fuzz-smoke  short fuzzing pass over the request validator,
-#                    the journal replayer and the client's SSE frame
-#                    parser (plus their seed corpora)
+#                    the study folds, the journal replayer and the
+#                    client's SSE frame parser (plus their seed corpora)
 #   make profile     CPU profiles of the FrequencySweep pair and the
 #                    core BatchSessionRun windows into results/ for
 #                    step-kernel and load-fill hot-spot digging
@@ -82,8 +82,9 @@ batch-determinism:
 
 # fuzz-smoke runs each fuzz target for FUZZTIME on top of its committed
 # seed corpus: the request validator (decode -> normalize -> hash
-# pipeline), the write-ahead journal replayer (arbitrary on-disk
-# bytes), the client's SSE frame parser (arbitrary stream bytes), the
+# pipeline), the study folds (real event streams of every study,
+# permuted, duplicated and truncated), the write-ahead journal
+# replayer (arbitrary on-disk bytes), the client's SSE frame parser (arbitrary stream bytes), the
 # in-place batch substitution kernels (random sparse systems, every
 # lane width — the width-8/16 vector and Go bodies and the element-wise
 # walk of the other widths — vs the element-wise reference), and
@@ -92,6 +93,7 @@ batch-determinism:
 # package invocation, so the targets run back to back.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRequestValidate -fuzztime $(FUZZTIME) ./internal/service
+	$(GO) test -run '^$$' -fuzz FuzzFold -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime $(FUZZTIME) ./internal/service/journal
 	$(GO) test -run '^$$' -fuzz FuzzSSEParse -fuzztime $(FUZZTIME) ./internal/service/client
 	$(GO) test -run '^$$' -fuzz FuzzSolveBatchInPlace -fuzztime $(FUZZTIME) ./internal/pdn

@@ -138,7 +138,7 @@ func runServe(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "voltnoised journal %s (%d pending job(s) to recover)\n", jnl.Path(), len(jnl.Pending()))
 	}
 	svc := service.NewServer(cfg)
-	httpSrv := &http.Server{Addr: *addr, Handler: svc}
+	httpSrv := newHTTPServer(*addr, svc)
 
 	if *pprofAddr != "" {
 		psrv, paddr, err := startPprof(*pprofAddr)
@@ -171,6 +171,26 @@ func runServe(args []string, out io.Writer) error {
 	return httpSrv.Shutdown(drainCtx)
 }
 
+// Listener timeouts. A client must finish its request headers within
+// readHeaderTimeout, so one that never does (slowloris) cannot hold a
+// connection open; keep-alive connections close after idleTimeout
+// unused. There is no write timeout: an SSE watch streams for as long
+// as its job runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds a listener for handler with the timeouts above.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // pprofMux serves the net/http/pprof endpoints on a dedicated mux —
 // never the global http.DefaultServeMux and never the service
 // listener, so enabling profiling cannot expose it on the API port.
@@ -192,7 +212,7 @@ func startPprof(addr string) (*http.Server, net.Addr, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	srv := &http.Server{Handler: pprofMux()}
+	srv := newHTTPServer("", pprofMux())
 	go srv.Serve(ln)
 	return srv, ln.Addr(), nil
 }
@@ -331,11 +351,12 @@ func runCtl(args []string, out io.Writer) error {
 
 // runWatch streams the job's event feed, narrating progress as "# "
 // lines, and prints the final result JSON last. When the full stream
-// was seen and the study supports it, the result is assembled
-// client-side from the partial events and verified against the hash
-// the done event carries; any gap (resume with -from, trimmed window,
-// lifecycle-only study) falls back to fetching the server's blob —
-// byte-identical either way.
+// was seen, the result is assembled client-side — the study's fold
+// over the partial events, the same fold the server's runner returned
+// the blob from — and verified against the hash the done event
+// carries. A stream that cannot assemble (resume with -from, a trimmed
+// window, a job served from cache, which streams no partials) falls
+// back to fetching the server's blob — byte-identical either way.
 func runWatch(ctx context.Context, c *client.Client, out io.Writer, id string, from int64, poll time.Duration) error {
 	events, errc := c.WatchFrom(ctx, id, from)
 	var all []*service.Event

@@ -1,172 +1,187 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sort"
 
+	"voltnoise/internal/guardband"
 	"voltnoise/internal/population"
 	"voltnoise/internal/vmin"
 )
 
-// ErrNoAssembly marks a study whose stream carries no assemblable
-// partials (guardband: the result is one indivisible table). Callers
-// fall back to GET /v1/jobs/{id}/result.
-var ErrNoAssembly = errors.New("service: study does not stream assemblable partials")
-
 // AssembleResult rebuilds the final result blob from a complete event
-// stream: the hello event supplies the normalized request, the partial
-// events supply the data, and the assembly performs exactly the
-// arithmetic the runner's final reduction does — so the returned bytes
-// are identical to the GET /v1/jobs/{id}/result body (and to the
-// ResultHash fingerprint of the done event) at every (workers, batch)
-// setting. Streams missing the hello or any partial return an error;
-// studies without partials return ErrNoAssembly.
+// stream: the hello event supplies the request, the partial events
+// supply the study's partials, and the study's fold — the very
+// function the runner returns its result from — reduces them. The
+// returned bytes are therefore identical to the GET
+// /v1/jobs/{id}/result body (and to the ResultHash of the done event)
+// at every (workers, batch) setting. Partial order does not matter.
+// Streams missing the hello or any partial, or carrying two partials
+// that disagree, return an error.
 func AssembleResult(events []*Event) ([]byte, error) {
-	var req *Request
+	var hello *Request
 	for _, e := range events {
 		if e.Type == EventHello && e.Request != nil {
-			req = e.Request
+			hello = e.Request
 			break
 		}
 	}
-	if req == nil {
+	if hello == nil {
 		return nil, fmt.Errorf("service: assembling result: no hello event (replay the stream from seq 0)")
 	}
+	// The server echoes a normalized request, and normalizing is
+	// idempotent; re-validating keeps every table the folds size from
+	// the request within the bounds the server would accept.
+	req, err := hello.Normalize()
+	if err != nil {
+		return nil, fmt.Errorf("service: assembling result: %w", err)
+	}
+	var res any
 	switch req.Study {
 	case StudyFreqSweep:
-		return assembleFreqSweep(req, events)
+		res, err = assemble(req, events, foldFreqSweep)
 	case StudyVminWalk:
-		return assembleVminWalk(req, events)
+		res, err = assemble(req, events, foldVminWalk)
 	case StudyEPIProfile:
-		return assembleEPIProfile(req, events)
+		res, err = assemble(req, events, foldEPIProfile)
+	case StudyGuardband:
+		res, err = assemble(req, events, foldGuardband)
 	case StudyPopulation:
-		return assemblePopulation(req, events)
-	default:
-		return nil, ErrNoAssembly
+		res, err = assemble(req, events, foldPopulation)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(res)
 }
 
-// partials decodes every partial event's payload into fresh values of
-// type P, paired with the carrying event.
-func partials[P any](events []*Event) ([]P, []*Event, error) {
-	var out []P
-	var evs []*Event
+// assemble decodes every partial event's payload as a P and folds
+// them.
+func assemble[P, R any](req *Request, events []*Event, fold func(*Request, []P) (R, error)) (any, error) {
+	var parts []P
 	for _, e := range events {
 		if e.Type != EventPartial {
 			continue
 		}
 		var p P
 		if err := json.Unmarshal(e.Partial, &p); err != nil {
-			return nil, nil, fmt.Errorf("service: decoding partial seq %d: %w", e.Seq, err)
+			return nil, fmt.Errorf("service: decoding partial seq %d: %w", e.Seq, err)
 		}
-		out = append(out, p)
-		evs = append(evs, e)
+		parts = append(parts, p)
 	}
-	return out, evs, nil
+	return fold(req, parts)
 }
 
-func assembleFreqSweep(req *Request, events []*Event) ([]byte, error) {
-	p := req.FreqSweep
-	parts, _, err := partials[FreqSweepPartial](events)
-	if err != nil {
-		return nil, err
+// slots places keyed partial items into a table whose size comes from
+// the request, never from the stream: a hostile key costs an error,
+// not an allocation. Placing by key makes every fold independent of
+// partial order.
+type slots[T any] struct {
+	what string // "<study> <item>", for errors
+	v    []T
+	set  []bool
+	n    int
+}
+
+func newSlots[T any](what string, size int) *slots[T] {
+	return &slots[T]{what: what, v: make([]T, size), set: make([]bool, size)}
+}
+
+// put stores v under key i. An exact duplicate (same wire encoding) is
+// accepted; a different value for a filled key is an error.
+func (s *slots[T]) put(i int, v T) error {
+	if i < 0 || i >= len(s.v) {
+		return fmt.Errorf("service: folding %s %d outside [0, %d)", s.what, i, len(s.v))
 	}
-	res := &FreqSweepResult{Sync: p.Sync, Events: p.Events, Points: make([]FreqSweepPoint, p.Points)}
-	seen := make([]bool, p.Points)
-	n := 0
+	if s.set[i] {
+		a, errA := json.Marshal(s.v[i])
+		b, errB := json.Marshal(v)
+		if errA != nil || errB != nil || !bytes.Equal(a, b) {
+			return fmt.Errorf("service: folding %s %d: conflicting partials", s.what, i)
+		}
+		return nil
+	}
+	s.v[i], s.set[i] = v, true
+	s.n++
+	return nil
+}
+
+// full returns the table once every key is filled.
+func (s *slots[T]) full() ([]T, error) {
+	if s.n != len(s.v) {
+		return nil, fmt.Errorf("service: folding %s: stream carries %d of %d", s.what, s.n, len(s.v))
+	}
+	return s.v, nil
+}
+
+// foldFreqSweep places sweep points by Index.
+func foldFreqSweep(req *Request, parts []FreqSweepPartial) (*FreqSweepResult, error) {
+	p := req.FreqSweep
+	pts := newSlots[FreqSweepPoint]("freq_sweep point", p.Points)
 	for _, part := range parts {
 		for _, ip := range part.Points {
-			if ip.Index < 0 || ip.Index >= p.Points {
-				return nil, fmt.Errorf("service: assembling freq_sweep: point index %d outside [0, %d)", ip.Index, p.Points)
+			if err := pts.put(ip.Index, ip.Point); err != nil {
+				return nil, err
 			}
-			if !seen[ip.Index] {
-				seen[ip.Index] = true
-				n++
-			}
-			res.Points[ip.Index] = ip.Point
 		}
 	}
-	if n != p.Points {
-		return nil, fmt.Errorf("service: assembling freq_sweep: stream carries %d of %d points", n, p.Points)
+	points, err := pts.full()
+	if err != nil {
+		return nil, err
 	}
-	return json.Marshal(res)
+	return &FreqSweepResult{Sync: p.Sync, Events: p.Events, Points: points}, nil
 }
 
-func assembleVminWalk(req *Request, events []*Event) ([]byte, error) {
+// foldVminWalk places bias steps by Step (1-based) and reduces them
+// with vmin.Fold, which owns the margin rule and checks the steps
+// against the walk's grid. There are never more distinct steps than
+// partials, so the table is sized from the stream's length.
+func foldVminWalk(req *Request, parts []VminStepPartial) (*VminWalkResult, error) {
 	p := req.VminWalk
-	steps, evs, err := partials[VminStepPartial](events)
+	placed := newSlots[VminStepPartial]("vmin_walk step", len(parts))
+	for _, s := range parts {
+		if err := placed.put(s.Step-1, s); err != nil {
+			return nil, err
+		}
+	}
+	steps := make([]vmin.StepEvent, placed.n)
+	for i := range steps {
+		if !placed.set[i] {
+			return nil, fmt.Errorf("service: folding vmin_walk: step %d missing", i+1)
+		}
+		steps[i] = vmin.StepEvent{Bias: placed.v[i].Bias, MinV: placed.v[i].MinV}
+	}
+	r, err := vmin.Fold(p.config(0, 0), steps)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("service: folding vmin_walk: %w", err)
 	}
-	if len(steps) == 0 {
-		return nil, fmt.Errorf("service: assembling vmin_walk: no steps streamed")
-	}
-	// Replay the walk's reduction: steps arrive in descending-bias
-	// order, the failing step (if any) last. lastSafe starts at the
-	// walk's StartBias exactly as vmin.Run's does.
-	res := &VminWalkResult{FreqHz: p.FreqHz, Events: p.Events}
-	lastSafe := vmin.DefaultConfig().StartBias
-	for _, s := range steps {
-		if s.MinV < p.FailVoltage {
-			res.Failed = true
-			res.MarginPercent = (1 - lastSafe) * 100
-			break
-		}
-		lastSafe = s.Bias
-	}
-	last := evs[len(evs)-1]
-	if !res.Failed {
-		if last.ChunksDone != last.ChunksTotal {
-			return nil, fmt.Errorf("service: assembling vmin_walk: stream carries %d of %d steps", last.ChunksDone, last.ChunksTotal)
-		}
-		res.MarginPercent = (1 - p.MinBias) * 100
-	}
-	return json.Marshal(res)
+	return &VminWalkResult{FreqHz: p.FreqHz, Events: p.Events, Failed: r.Failed, MarginPercent: r.MarginPercent}, nil
 }
 
-func assembleEPIProfile(req *Request, events []*Event) ([]byte, error) {
+// foldEPIProfile places entries by table position inside the profiled
+// instruction table, then ranks exactly as the profiler does: stable
+// sort by descending power (ties keep table order), relative power
+// normalized to the profile minimum.
+func foldEPIProfile(req *Request, parts []EPIProfilePartial) (*EPIProfileResult, error) {
 	p := req.EPIProfile
-	parts, evs, err := partials[EPIProfilePartial](events)
-	if err != nil {
-		return nil, err
-	}
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("service: assembling epi_profile: no entries streamed")
-	}
-	last := evs[len(evs)-1]
-	if last.ChunksDone != last.ChunksTotal {
-		return nil, fmt.Errorf("service: assembling epi_profile: stream carries %d of %d chunks", last.ChunksDone, last.ChunksTotal)
-	}
-	// Place the entries back in table order, then rank exactly as the
-	// profiler does: stable sort by descending power (ties keep table
-	// order), relative power normalized to the profile minimum.
-	total := 0
+	placed := newSlots[EPIPartialEntry]("epi_profile instruction", len(p.config(0, 0).Table.Instructions()))
 	for _, part := range parts {
-		if part.End > total {
-			total = part.End
-		}
-	}
-	entries := make([]EPIPartialEntry, total)
-	seen := make([]bool, total)
-	n := 0
-	for _, part := range parts {
-		if part.Start < 0 || part.End > total || part.Start+len(part.Entries) != part.End {
-			return nil, fmt.Errorf("service: assembling epi_profile: malformed chunk [%d, %d) with %d entries", part.Start, part.End, len(part.Entries))
+		if part.End-part.Start != len(part.Entries) {
+			return nil, fmt.Errorf("service: folding epi_profile: chunk [%d, %d) carries %d entries", part.Start, part.End, len(part.Entries))
 		}
 		for i, e := range part.Entries {
-			idx := part.Start + i
-			if !seen[idx] {
-				seen[idx] = true
-				n++
+			if err := placed.put(part.Start+i, e); err != nil {
+				return nil, err
 			}
-			entries[idx] = e
 		}
 	}
-	if n != total {
-		return nil, fmt.Errorf("service: assembling epi_profile: stream carries %d of %d entries", n, total)
+	entries, err := placed.full()
+	if err != nil {
+		return nil, err
 	}
+	total := len(entries)
 	order := make([]int, total)
 	for i := range order {
 		order[i] = i
@@ -174,7 +189,7 @@ func assembleEPIProfile(req *Request, events []*Event) ([]byte, error) {
 	sort.SliceStable(order, func(a, b int) bool {
 		return entries[order[a]].PowerWatts > entries[order[b]].PowerWatts
 	})
-	min := entries[order[total-1]].PowerWatts
+	lowest := entries[order[total-1]].PowerWatts
 	entry := func(rank, idx int) EPIEntry {
 		e := entries[idx]
 		return EPIEntry{
@@ -182,14 +197,11 @@ func assembleEPIProfile(req *Request, events []*Event) ([]byte, error) {
 			Mnemonic:   e.Mnemonic,
 			Unit:       e.Unit,
 			PowerWatts: e.PowerWatts,
-			RelPower:   e.PowerWatts / min,
+			RelPower:   e.PowerWatts / lowest,
 			IPC:        e.IPC,
 		}
 	}
-	topN := p.TopN
-	if topN > total {
-		topN = total
-	}
+	topN := min(p.TopN, total)
 	res := &EPIProfileResult{Total: total}
 	for i := 0; i < topN; i++ {
 		res.Top = append(res.Top, entry(i+1, order[i]))
@@ -197,35 +209,69 @@ func assembleEPIProfile(req *Request, events []*Event) ([]byte, error) {
 	for i := 0; i < topN; i++ {
 		res.Bottom = append(res.Bottom, entry(total-topN+i+1, order[total-topN+i]))
 	}
-	return json.Marshal(res)
+	return res, nil
 }
 
-func assemblePopulation(req *Request, events []*Event) ([]byte, error) {
-	p := req.Population
-	parts, _, err := partials[PopulationPartial](events)
+// foldGuardband builds the margin table from the one droop vector,
+// reads the controller's setpoint at every active-core count and
+// replays the request's utilization trace against it.
+func foldGuardband(req *Request, parts []GuardbandPartial) (*GuardbandResult, error) {
+	p := req.Guardband
+	placed := newSlots[GuardbandPartial]("guardband droop vector", 1)
+	for _, part := range parts {
+		if err := placed.put(0, part); err != nil {
+			return nil, err
+		}
+	}
+	droops, err := placed.full()
 	if err != nil {
 		return nil, err
 	}
-	summaries := make([]population.ChipSummary, p.Chips)
-	seen := make([]bool, p.Chips)
-	n := 0
-	for _, part := range parts {
-		for _, cs := range part.Chips {
-			if cs.Chip < 0 || cs.Chip >= p.Chips {
-				return nil, fmt.Errorf("service: assembling population: chip %d outside [0, %d)", cs.Chip, p.Chips)
-			}
-			if !seen[cs.Chip] {
-				seen[cs.Chip] = true
-				n++
-			}
-			summaries[cs.Chip] = cs
+	table, err := guardband.FromDroops(droops[0].Droops, p.SafetyPercent)
+	if err != nil {
+		return nil, err
+	}
+	ctrl, err := guardband.NewController(table)
+	if err != nil {
+		return nil, err
+	}
+	res := &GuardbandResult{MarginPercent: table.MarginPercent}
+	for n := range res.Bias {
+		if res.Bias[n], err = ctrl.SetActiveCores(n); err != nil {
+			return nil, err
 		}
 	}
-	if n != p.Chips {
-		return nil, fmt.Errorf("service: assembling population: stream carries %d of %d chips", n, p.Chips)
+	trace := make([]guardband.UtilizationPhase, len(p.Trace))
+	for i, ph := range p.Trace {
+		trace[i] = guardband.UtilizationPhase{ActiveCores: ph.ActiveCores, Duration: ph.DurationS}
 	}
-	// The fold is the exported library fold on the same config the
-	// runner builds; BatchedChunks is schedule-dependent but excluded
-	// from the canonical JSON, so the bytes match.
-	return json.Marshal(population.Fold(p.config(0, 0), summaries))
+	s, err := guardband.Replay(ctrl, trace)
+	if err != nil {
+		return nil, err
+	}
+	res.MeanBias = s.MeanBias
+	res.EnergySavedPercent = s.EnergySavedPercent
+	res.TotalTimeS = s.TotalTime
+	return res, nil
+}
+
+// foldPopulation places chip summaries by Chip and reduces them with
+// the library fold on the configuration the runner builds.
+// BatchedChunks is schedule-dependent but excluded from the canonical
+// JSON, so the bytes match at every setting.
+func foldPopulation(req *Request, parts []PopulationPartial) (*PopulationResult, error) {
+	p := req.Population
+	placed := newSlots[population.ChipSummary]("population chip", p.Chips)
+	for _, part := range parts {
+		for _, cs := range part.Chips {
+			if err := placed.put(cs.Chip, cs); err != nil {
+				return nil, err
+			}
+		}
+	}
+	summaries, err := placed.full()
+	if err != nil {
+		return nil, err
+	}
+	return population.Fold(p.config(0, 0), summaries), nil
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"sync"
 
+	"voltnoise/internal/core"
 	"voltnoise/internal/population"
 )
 
@@ -20,7 +21,8 @@ const (
 	EventStatus = "status"
 	// EventPartial carries one study partial result from the ordered
 	// reduction: a FreqSweepPartial, VminStepPartial,
-	// EPIProfilePartial or PopulationPartial in Partial.
+	// EPIProfilePartial, GuardbandPartial or PopulationPartial in
+	// Partial.
 	EventPartial = "partial"
 	// EventDone, EventFailed and EventCanceled terminate the stream;
 	// no event follows them.
@@ -49,7 +51,8 @@ type Event struct {
 	// Request echoes the normalized request; hello events only.
 	Request *Request `json:"request,omitempty"`
 	// Chunk is the ordered-reduction chunk index; ChunksDone/Total
-	// count reduced chunks. Partial events only.
+	// count reduced chunks. They report progress only: no fold reads
+	// them. Partial events only.
 	Chunk       int `json:"chunk,omitempty"`
 	ChunksDone  int `json:"chunks_done,omitempty"`
 	ChunksTotal int `json:"chunks_total,omitempty"`
@@ -79,11 +82,11 @@ func resultSum(b []byte) string {
 
 // --- Partial payloads -------------------------------------------------
 //
-// One wire type per streaming study. Each partial carries exactly the
-// values the final result will — computed by the same arithmetic — so
-// a client that collects every partial can reassemble the final blob
-// byte for byte (see AssembleResult). The guardband study streams
-// lifecycle events only: its result is one indivisible table.
+// One wire type per study. The runner builds each partial from the
+// study's progress, streams it, and returns its study's fold over
+// exactly the partials it emitted; AssembleResult runs the same fold
+// over the decoded partial events. The result blob and the assembled
+// bytes are therefore one definition, not two that are kept in step.
 
 // IndexedFreqPoint ties a sweep partial point to its position in the
 // final Points slice. The impedance pre-screen reorders the
@@ -129,6 +132,13 @@ type EPIProfilePartial struct {
 	Start   int               `json:"start"`
 	End     int               `json:"end"`
 	Entries []EPIPartialEntry `json:"entries"`
+}
+
+// GuardbandPartial is the partial payload of a guardband job: the
+// worst droop percentage per active-core count the margin table is
+// built from — the request's droops, or those of the mapping study.
+type GuardbandPartial struct {
+	Droops [core.NumCores + 1]float64 `json:"droops"`
 }
 
 // PopulationPartial is the partial payload of a population job: the

@@ -170,6 +170,18 @@ func (p *VminWalkParams) normalize() error {
 	return nil
 }
 
+// config assembles the walk's configuration with the request's
+// scheduling knobs: the runner walks it, and its fold reduces the
+// streamed steps against the same grid and threshold.
+func (p *VminWalkParams) config(workers, batch int) vmin.Config {
+	cfg := vmin.DefaultConfig()
+	cfg.FailVoltage = p.FailVoltage
+	cfg.MinBias = p.MinBias
+	cfg.Workers = workers
+	cfg.Batch = batch
+	return cfg
+}
+
 // EPIProfileParams parameterizes EPI profiling.
 type EPIProfileParams struct {
 	// TopN is how many entries to return from each end of the rank
@@ -202,6 +214,17 @@ func (p *EPIProfileParams) normalize() error {
 		return fmt.Errorf("epi_profile: negative warmup_cycles %d", p.WarmupCycles)
 	}
 	return nil
+}
+
+// config assembles the profiler configuration with the request's
+// scheduling knobs; its fold sizes the profile from the same table.
+func (p *EPIProfileParams) config(workers, batch int) epi.Config {
+	cfg := epi.DefaultConfig()
+	cfg.MeasureCycles = p.MeasureCycles
+	cfg.WarmupCycles = p.WarmupCycles
+	cfg.Workers = workers
+	cfg.Batch = batch
+	return cfg
 }
 
 // UtilizationPhase is one segment of a guard-band utilization trace.

@@ -7,7 +7,6 @@ import (
 
 	"voltnoise/internal/core"
 	"voltnoise/internal/epi"
-	"voltnoise/internal/guardband"
 	"voltnoise/internal/noise"
 	"voltnoise/internal/pdn"
 	"voltnoise/internal/population"
@@ -110,81 +109,24 @@ func (r *LabRunner) Run(ctx context.Context, req *Request) (any, error) {
 	}
 }
 
-// The per-study sink adapters below bridge the two progress layers:
-// the studies emit their own partial types (noise.ChunkResult,
-// vmin.StepEvent, …) from the ordered reduction, and the adapters
-// convert each into the wire partial the stream documents — computing
-// any derived values (Worst, FreqHz) with exactly the arithmetic the
-// final reduction uses, so stream-assembled results stay byte-identical
-// to the blob. A nil context sink leaves the study's Progress nil and
-// costs nothing.
-
-// freqSweepSink converts raw measurement chunks into FreqSweepPartial
-// events carrying finished sweep points at their original indices.
-func freqSweepSink(sink progress.Sink, freqs []float64) progress.Sink {
+// partialSink returns a study's partial builder: it converts each
+// library progress payload of type L (noise.ChunkResult,
+// vmin.StepEvent, …) into the study's wire partial, appends the
+// partial to *parts and forwards it to the job's stream sink when the
+// context carries one. Every runner returns its study's fold over
+// exactly *parts, so the result blob and the stream-assembled result
+// come from the same partials and the same code.
+func partialSink[L, P any](ctx context.Context, parts *[]P, build func(e progress.Event, l L) P) progress.Sink {
+	stream := progress.FromContext(ctx)
 	return func(e progress.Event) {
-		cr, ok := e.Payload.(noise.ChunkResult)
+		l, ok := e.Payload.(L)
 		if !ok {
 			return
 		}
-		p := FreqSweepPartial{Points: make([]IndexedFreqPoint, len(cr.Jobs))}
-		for k, ji := range cr.Jobs {
-			pt := noise.FreqPoint{Freq: freqs[ji], P2P: cr.Measurements[k].P2P}
-			p.Points[k] = IndexedFreqPoint{Index: ji, Point: FreqSweepPoint{
-				FreqHz: pt.Freq,
-				P2P:    append([]float64(nil), pt.P2P[:]...),
-				Worst:  pt.Worst(),
-			}}
-		}
+		p := build(e, l)
+		*parts = append(*parts, p)
 		e.Payload = p
-		sink.Emit(e)
-	}
-}
-
-// vminSink converts reduced bias steps into VminStepPartial events.
-func vminSink(sink progress.Sink) progress.Sink {
-	return func(e progress.Event) {
-		se, ok := e.Payload.(vmin.StepEvent)
-		if !ok {
-			return
-		}
-		e.Payload = VminStepPartial{Step: e.Done, Bias: se.Bias, MinV: se.MinV}
-		sink.Emit(e)
-	}
-}
-
-// epiSink converts profiled instruction chunks into EPIProfilePartial
-// events.
-func epiSink(sink progress.Sink) progress.Sink {
-	return func(e progress.Event) {
-		ce, ok := e.Payload.(epi.ChunkEntries)
-		if !ok {
-			return
-		}
-		p := EPIProfilePartial{Start: ce.Start, End: ce.End, Entries: make([]EPIPartialEntry, len(ce.Entries))}
-		for i, en := range ce.Entries {
-			p.Entries[i] = EPIPartialEntry{
-				Mnemonic:   en.Instr.Mnemonic,
-				Unit:       en.Instr.Unit.String(),
-				PowerWatts: en.PowerWatts,
-				IPC:        en.IPC,
-			}
-		}
-		e.Payload = p
-		sink.Emit(e)
-	}
-}
-
-// populationSink converts per-batch chip summaries into
-// PopulationPartial events.
-func populationSink(sink progress.Sink) progress.Sink {
-	return func(e progress.Event) {
-		chips, ok := e.Payload.([]population.ChipSummary)
-		if !ok {
-			return
-		}
-		e.Payload = PopulationPartial{Chips: chips}
-		sink.Emit(e)
+		stream.Emit(e)
 	}
 }
 
@@ -195,22 +137,23 @@ func (r *LabRunner) runFreqSweep(ctx context.Context, req *Request) (any, error)
 		return nil, err
 	}
 	freqs := pdn.LogSpace(p.LoHz, p.HiHz, p.Points)
-	if sink := progress.FromContext(ctx); sink != nil {
-		l.Progress = freqSweepSink(sink, freqs)
-	}
-	pts, err := l.FrequencySweep(ctx, freqs, p.Sync, p.Events)
-	if err != nil {
+	var parts []FreqSweepPartial
+	l.Progress = partialSink(ctx, &parts, func(_ progress.Event, cr noise.ChunkResult) FreqSweepPartial {
+		part := FreqSweepPartial{Points: make([]IndexedFreqPoint, len(cr.Jobs))}
+		for k, ji := range cr.Jobs {
+			pt := noise.FreqPoint{Freq: freqs[ji], P2P: cr.Measurements[k].P2P}
+			part.Points[k] = IndexedFreqPoint{Index: ji, Point: FreqSweepPoint{
+				FreqHz: pt.Freq,
+				P2P:    append([]float64(nil), pt.P2P[:]...),
+				Worst:  pt.Worst(),
+			}}
+		}
+		return part
+	})
+	if _, err := l.FrequencySweep(ctx, freqs, p.Sync, p.Events); err != nil {
 		return nil, err
 	}
-	res := &FreqSweepResult{Sync: p.Sync, Events: p.Events, Points: make([]FreqSweepPoint, len(pts))}
-	for i, pt := range pts {
-		res.Points[i] = FreqSweepPoint{
-			FreqHz: pt.Freq,
-			P2P:    append([]float64(nil), pt.P2P[:]...),
-			Worst:  pt.Worst(),
-		}
-	}
-	return res, nil
+	return foldFreqSweep(req, parts)
 }
 
 func (r *LabRunner) runVminWalk(ctx context.Context, req *Request) (any, error) {
@@ -219,60 +162,36 @@ func (r *LabRunner) runVminWalk(ctx context.Context, req *Request) (any, error) 
 	if err != nil {
 		return nil, err
 	}
-	vcfg := vmin.DefaultConfig()
-	vcfg.FailVoltage = p.FailVoltage
-	vcfg.MinBias = p.MinBias
-	vcfg.Workers = req.Workers
-	vcfg.Batch = req.Batch
-	if sink := progress.FromContext(ctx); sink != nil {
-		vcfg.Progress = vminSink(sink)
-	}
-	pts, err := l.ConsecutiveEventStudy(ctx, []float64{p.FreqHz}, []int{p.Events}, vcfg)
-	if err != nil {
+	var parts []VminStepPartial
+	vcfg := p.config(req.Workers, req.Batch)
+	vcfg.Progress = partialSink(ctx, &parts, func(e progress.Event, se vmin.StepEvent) VminStepPartial {
+		return VminStepPartial{Step: e.Done, Bias: se.Bias, MinV: se.MinV}
+	})
+	if _, err := l.ConsecutiveEventStudy(ctx, []float64{p.FreqHz}, []int{p.Events}, vcfg); err != nil {
 		return nil, err
 	}
-	pt := pts[0]
-	return &VminWalkResult{
-		FreqHz:        pt.Freq,
-		Events:        pt.Events,
-		Failed:        pt.Failed,
-		MarginPercent: pt.MarginPercent,
-	}, nil
+	return foldVminWalk(req, parts)
 }
 
 func runEPIProfile(ctx context.Context, req *Request) (any, error) {
-	p := req.EPIProfile
-	cfg := epi.DefaultConfig()
-	cfg.MeasureCycles = p.MeasureCycles
-	cfg.WarmupCycles = p.WarmupCycles
-	cfg.Workers = req.Workers
-	cfg.Batch = req.Batch
-	if sink := progress.FromContext(ctx); sink != nil {
-		cfg.Progress = epiSink(sink)
-	}
-	prof, err := epi.Generate(ctx, cfg)
-	if err != nil {
+	var parts []EPIProfilePartial
+	cfg := req.EPIProfile.config(req.Workers, req.Batch)
+	cfg.Progress = partialSink(ctx, &parts, func(_ progress.Event, ce epi.ChunkEntries) EPIProfilePartial {
+		part := EPIProfilePartial{Start: ce.Start, End: ce.End, Entries: make([]EPIPartialEntry, len(ce.Entries))}
+		for i, en := range ce.Entries {
+			part.Entries[i] = EPIPartialEntry{
+				Mnemonic:   en.Instr.Mnemonic,
+				Unit:       en.Instr.Unit.String(),
+				PowerWatts: en.PowerWatts,
+				IPC:        en.IPC,
+			}
+		}
+		return part
+	})
+	if _, err := epi.Generate(ctx, cfg); err != nil {
 		return nil, err
 	}
-	entry := func(rank int, e epi.Entry) EPIEntry {
-		return EPIEntry{
-			Rank:       rank,
-			Mnemonic:   e.Instr.Mnemonic,
-			Unit:       e.Instr.Unit.String(),
-			PowerWatts: e.PowerWatts,
-			RelPower:   e.RelPower,
-			IPC:        e.IPC,
-		}
-	}
-	res := &EPIProfileResult{Total: len(prof.Entries)}
-	for i, e := range prof.Top(p.TopN) {
-		res.Top = append(res.Top, entry(i+1, e))
-	}
-	bottom := prof.Bottom(p.TopN)
-	for i, e := range bottom {
-		res.Bottom = append(res.Bottom, entry(len(prof.Entries)-len(bottom)+i+1, e))
-	}
-	return res, nil
+	return foldEPIProfile(req, parts)
 }
 
 // runPopulation needs no lab (there is no stressmark search — the ΔI
@@ -281,22 +200,25 @@ func runEPIProfile(ctx context.Context, req *Request) (any, error) {
 // dropped afterwards: fleets are parameterized too widely to share
 // lab-style state across jobs.
 func runPopulation(ctx context.Context, req *Request) (any, error) {
+	var parts []PopulationPartial
 	cfg := req.Population.config(req.Workers, req.Batch)
-	if sink := progress.FromContext(ctx); sink != nil {
-		cfg.Progress = populationSink(sink)
-	}
-	res, err := population.Run(ctx, cfg)
-	if err != nil {
+	cfg.Progress = partialSink(ctx, &parts, func(_ progress.Event, chips []population.ChipSummary) PopulationPartial {
+		return PopulationPartial{Chips: chips}
+	})
+	if _, err := population.Run(ctx, cfg); err != nil {
 		return nil, err
 	}
-	return res, nil
+	return foldPopulation(req, parts)
 }
 
+// runGuardband streams its one partial, the droop vector: the
+// request's when given, else the worst droop per active-core count of
+// a mapping study.
 func (r *LabRunner) runGuardband(ctx context.Context, req *Request) (any, error) {
 	p := req.Guardband
-	var droops [core.NumCores + 1]float64
+	var part GuardbandPartial
 	if len(p.Droops) > 0 {
-		copy(droops[:], p.Droops)
+		copy(part.Droops[:], p.Droops)
 	} else {
 		l, err := r.jobLab(req)
 		if err != nil {
@@ -309,37 +231,11 @@ func (r *LabRunner) runGuardband(ctx context.Context, req *Request) (any, error)
 		vnom := l.Platform.NominalVoltage()
 		for _, run := range runs {
 			n := run.ActiveCores()
-			if pct := (vnom - run.MinVoltage) / vnom * 100; pct > droops[n] {
-				droops[n] = pct
+			if pct := (vnom - run.MinVoltage) / vnom * 100; pct > part.Droops[n] {
+				part.Droops[n] = pct
 			}
 		}
 	}
-	table, err := guardband.FromDroops(droops, p.SafetyPercent)
-	if err != nil {
-		return nil, err
-	}
-	ctrl, err := guardband.NewController(table)
-	if err != nil {
-		return nil, err
-	}
-	res := &GuardbandResult{MarginPercent: table.MarginPercent}
-	for n := 0; n <= core.NumCores; n++ {
-		bias, err := ctrl.SetActiveCores(n)
-		if err != nil {
-			return nil, err
-		}
-		res.Bias[n] = bias
-	}
-	trace := make([]guardband.UtilizationPhase, len(p.Trace))
-	for i, ph := range p.Trace {
-		trace[i] = guardband.UtilizationPhase{ActiveCores: ph.ActiveCores, Duration: ph.DurationS}
-	}
-	s, err := guardband.Replay(ctrl, trace)
-	if err != nil {
-		return nil, err
-	}
-	res.MeanBias = s.MeanBias
-	res.EnergySavedPercent = s.EnergySavedPercent
-	res.TotalTimeS = s.TotalTime
-	return res, nil
+	progress.FromContext(ctx).Emit(progress.Event{Done: 1, Total: 1, Payload: part})
+	return foldGuardband(req, []GuardbandPartial{part})
 }

@@ -116,8 +116,10 @@ func TestStreamDeterminismGrid(t *testing.T) {
 	}
 }
 
-// TestStreamAssembleAllStudies covers the remaining streaming studies
-// at one parallel grid point each: vmin walk, EPI profile, population.
+// TestStreamAssembleAllStudies covers the remaining studies at one
+// parallel grid point each: vmin walk, EPI profile, population, and
+// guardband with supplied droops and with droops from the mapping
+// study.
 func TestStreamAssembleAllStudies(t *testing.T) {
 	ctx := testCtx(t)
 	_, c := startServer(t, service.Config{Runner: labRunner, PoolSize: 1})
@@ -131,6 +133,14 @@ func TestStreamAssembleAllStudies(t *testing.T) {
 			EPIProfile: &service.EPIProfileParams{TopN: 3, MeasureCycles: 1024},
 		},
 		populationReq(12),
+		guardbandReq(1.0),
+		{
+			Study: service.StudyGuardband, Quick: true, Workers: 4, Batch: 3,
+			Guardband: &service.GuardbandParams{
+				FreqHz: 2e6, Events: 10,
+				Trace: []service.UtilizationPhase{{ActiveCores: 3, DurationS: 60}, {ActiveCores: 6, DurationS: 30}},
+			},
+		},
 	}
 	for _, req := range reqs {
 		watchAndAssemble(t, ctx, c, req)
@@ -312,11 +322,11 @@ func TestStreamJobStatusProgress(t *testing.T) {
 	}
 }
 
-// TestStreamGuardbandLifecycleOnly: the guardband study streams
-// lifecycle events only (its result is one indivisible table), and
-// AssembleResult reports that as ErrNoAssembly so callers fall back to
-// the blob.
-func TestStreamGuardbandLifecycleOnly(t *testing.T) {
+// TestStreamGuardbandAssembles: the guardband study streams exactly
+// one partial (its droop vector) between a coherent hello and done,
+// the stream assembles to the blob, and the blob fallback still
+// serves.
+func TestStreamGuardbandAssembles(t *testing.T) {
 	ctx := testCtx(t)
 	_, c := startServer(t, service.Config{Runner: labRunner, PoolSize: 1})
 	st, err := c.Submit(ctx, guardbandReq(1.0))
@@ -328,16 +338,25 @@ func TestStreamGuardbandLifecycleOnly(t *testing.T) {
 		t.Fatalf("watch: %v", err)
 	}
 	checkStream(t, events)
+	partials := 0
 	for _, e := range events {
 		if e.Type == service.EventPartial {
-			t.Fatalf("guardband streamed a partial event: %+v", e)
+			partials++
 		}
 	}
-	if _, err := service.AssembleResult(events); !errors.Is(err, service.ErrNoAssembly) {
-		t.Fatalf("assemble: got %v, want ErrNoAssembly", err)
+	if partials != 1 {
+		t.Fatalf("guardband streamed %d partial events, want 1", partials)
 	}
-	if _, _, err := c.Result(ctx, st.ID); err != nil {
+	blob, _, err := c.Result(ctx, st.ID)
+	if err != nil {
 		t.Fatalf("result fallback: %v", err)
+	}
+	assembled, err := service.AssembleResult(events)
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
+	}
+	if !bytes.Equal(assembled, blob) {
+		t.Fatalf("assembled result differs from blob:\nassembled: %s\nblob:      %s", assembled, blob)
 	}
 }
 

@@ -149,30 +149,17 @@ func Run(ctx context.Context, p *core.Platform, workloads [core.NumCores]core.Wo
 		sessions = core.NewSessionPool(p.Config())
 	}
 
-	var biases []float64
-	for bias := cfg.StartBias; bias >= cfg.MinBias-1e-9; bias -= core.BiasStep {
-		biases = append(biases, bias)
-	}
-	type step struct {
-		bias float64 // quantized bias actually applied
-		minV float64 // deepest droop across the windows
-	}
-	res := &Result{}
-	lastSafe := cfg.StartBias
-	reduce := func(s step) error {
-		res.Steps++
+	biases := cfg.biases()
+	var steps []StepEvent
+	reduce := func(s StepEvent) error {
+		steps = append(steps, s)
 		cfg.Progress.Emit(progress.Event{
-			Chunk: res.Steps - 1, Done: res.Steps, Total: len(biases),
-			Payload: StepEvent{Bias: s.bias, MinV: s.minV},
+			Chunk: len(steps) - 1, Done: len(steps), Total: len(biases),
+			Payload: s,
 		})
-		if s.minV < cfg.FailVoltage {
-			res.Failed = true
-			res.FailBias = s.bias
-			res.MarginPercent = (1 - lastSafe) * 100
+		if cfg.fails(s) {
 			return exec.ErrStop
 		}
-		lastSafe = s.bias
-		res.MinVoltageSeen = s.minV
 		return nil
 	}
 	var err error
@@ -183,7 +170,7 @@ func Run(ctx context.Context, p *core.Platform, workloads [core.NumCores]core.Wo
 		// whole chunks by work stealing; the reduction stays in
 		// descending-bias order.
 		err = exec.MapStolen(ctx, len(biases), width, cfg.Workers,
-			func(ctx context.Context, start, end int) ([]step, error) {
+			func(ctx context.Context, start, end int) ([]StepEvent, error) {
 				lanes := end - start
 				bs, err := sessions.GetBatch(biases[start], lanes)
 				if err != nil {
@@ -195,9 +182,9 @@ func Run(ctx context.Context, p *core.Platform, workloads [core.NumCores]core.Wo
 						return nil, err
 					}
 				}
-				out := make([]step, lanes)
+				out := make([]StepEvent, lanes)
 				for l := range out {
-					out[l].minV = 2.0
+					out[l].MinV = 2.0
 				}
 				specs := make([]core.RunSpec, lanes)
 				for _, w := range cfg.Windows {
@@ -209,18 +196,18 @@ func Run(ctx context.Context, p *core.Platform, workloads [core.NumCores]core.Wo
 						return nil, err
 					}
 					for l, m := range ms {
-						if v := m.MinVoltage(); v < out[l].minV {
-							out[l].minV = v
+						if v := m.MinVoltage(); v < out[l].MinV {
+							out[l].MinV = v
 						}
 					}
 				}
 				for l := range out {
-					out[l].bias = bs.LaneBias(l)
+					out[l].Bias = bs.LaneBias(l)
 				}
 				return out, nil
 			},
-			func(_, _, _ int, steps []step) error {
-				for _, s := range steps {
+			func(_, _, _ int, chunk []StepEvent) error {
+				for _, s := range chunk {
 					if err := reduce(s); err != nil {
 						return err
 					}
@@ -229,32 +216,78 @@ func Run(ctx context.Context, p *core.Platform, workloads [core.NumCores]core.Wo
 			})
 	} else {
 		err = exec.MapOrdered(ctx, len(biases), cfg.Workers,
-			func(ctx context.Context, i int) (step, error) {
+			func(ctx context.Context, i int) (StepEvent, error) {
 				s, err := sessions.Get(biases[i])
 				if err != nil {
-					return step{}, err
+					return StepEvent{}, err
 				}
 				defer sessions.Put(s)
 				minV := 2.0
 				for _, w := range cfg.Windows {
 					m, err := s.RunContext(ctx, core.RunSpec{Workloads: workloads, Start: w.Start, Duration: w.Duration})
 					if err != nil {
-						return step{}, err
+						return StepEvent{}, err
 					}
 					if v := m.MinVoltage(); v < minV {
 						minV = v
 					}
 				}
-				return step{bias: s.VoltageBias(), minV: minV}, nil
+				return StepEvent{Bias: s.VoltageBias(), MinV: minV}, nil
 			},
-			func(_ int, s step) error { return reduce(s) })
+			func(_ int, s StepEvent) error { return reduce(s) })
 	}
 	if err != nil {
 		return nil, err
 	}
-	if !res.Failed {
-		// No failure down to MinBias: report the margin as the full range.
-		res.MarginPercent = (1 - cfg.MinBias) * 100
+	return Fold(cfg, steps)
+}
+
+// Fold reduces a walk's steps, given in descending-bias order, to the
+// experiment result. The walk fails at the first step whose deepest
+// supply dips below cfg.FailVoltage; the margin is how far the last
+// safe bias (cfg.StartBias when the first step fails) sits below
+// nominal, or the full range down to cfg.MinBias when no step fails.
+// Run reduces through Fold, and so can any consumer that collected the
+// StepEvents of the Progress stream. The steps must be the walk's
+// prefix ending at its first failure, or every step of the grid when
+// none fails; anything else is an error.
+func Fold(cfg Config, steps []StepEvent) (*Result, error) {
+	n := len(cfg.biases())
+	if len(steps) > n {
+		return nil, fmt.Errorf("vmin: %d steps for a %d-step walk", len(steps), n)
 	}
+	res := &Result{Steps: len(steps)}
+	lastSafe := cfg.StartBias
+	for i, s := range steps {
+		if cfg.fails(s) {
+			if i != len(steps)-1 {
+				return nil, fmt.Errorf("vmin: step %d follows the failure at step %d", i+2, i+1)
+			}
+			res.Failed = true
+			res.FailBias = s.Bias
+			res.MarginPercent = (1 - lastSafe) * 100
+			return res, nil
+		}
+		lastSafe = s.Bias
+		res.MinVoltageSeen = s.MinV
+	}
+	if len(steps) != n {
+		return nil, fmt.Errorf("vmin: walk stops after %d of %d steps without a failure", len(steps), n)
+	}
+	res.MarginPercent = (1 - cfg.MinBias) * 100
 	return res, nil
 }
+
+// biases is the walk's grid: StartBias down to MinBias in BiasStep
+// steps.
+func (c Config) biases() []float64 {
+	var out []float64
+	for bias := c.StartBias; bias >= c.MinBias-1e-9; bias -= core.BiasStep {
+		out = append(out, bias)
+	}
+	return out
+}
+
+// fails reports whether a step's deepest supply crossed the failure
+// threshold.
+func (c Config) fails(s StepEvent) bool { return s.MinV < c.FailVoltage }

@@ -117,3 +117,43 @@ func TestMarginQuantizedToBiasSteps(t *testing.T) {
 		t.Errorf("margin %g%% is not step-quantized", res.MarginPercent)
 	}
 }
+
+// TestFold checks the margin rule on a three-step walk (1.0, 0.995,
+// 0.99) and that Fold rejects step lists no walk produces.
+func TestFold(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MinBias = 0.99
+	safe := func(bias float64) StepEvent { return StepEvent{Bias: bias, MinV: cfg.FailVoltage + 0.01} }
+	fail := func(bias float64) StepEvent { return StepEvent{Bias: bias, MinV: cfg.FailVoltage - 0.01} }
+	start, mid, last := 1.0, 0.995, 0.99
+	ok := []struct {
+		name  string
+		steps []StepEvent
+		want  Result
+	}{
+		{"no failure", []StepEvent{safe(start), safe(mid), safe(last)},
+			Result{Steps: 3, MarginPercent: (1 - cfg.MinBias) * 100, MinVoltageSeen: cfg.FailVoltage + 0.01}},
+		{"fails at the last step", []StepEvent{safe(start), safe(mid), fail(last)},
+			Result{Failed: true, FailBias: last, Steps: 3, MarginPercent: (1 - mid) * 100, MinVoltageSeen: cfg.FailVoltage + 0.01}},
+		{"fails at the first step", []StepEvent{fail(start)},
+			Result{Failed: true, FailBias: start, Steps: 1, MarginPercent: (1 - cfg.StartBias) * 100}},
+	}
+	for _, tc := range ok {
+		got, err := Fold(cfg, tc.steps)
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		} else if *got != tc.want {
+			t.Errorf("%s: got %+v, want %+v", tc.name, *got, tc.want)
+		}
+	}
+	bad := map[string][]StepEvent{
+		"walk stops early":     {safe(start), safe(mid)},
+		"step after a failure": {safe(start), fail(mid), safe(last)},
+		"more steps than grid": {safe(start), safe(mid), safe(last), safe(last)},
+	}
+	for name, steps := range bad {
+		if _, err := Fold(cfg, steps); err == nil {
+			t.Errorf("%s: folded", name)
+		}
+	}
+}
