@@ -89,7 +89,9 @@ batch-determinism:
 # lane width — the width-8/16 vector and Go bodies and the element-wise
 # walk of the other widths — vs the element-wise reference), and
 # the skitter sticky state machine (random configs x voltage walks,
-# certified table vs exact evaluation). Go allows one -fuzz pattern per
+# certified table vs exact evaluation), and the sessions' warm-start
+# memo (random run sequences on one reused session vs fresh sessions).
+# Go allows one -fuzz pattern per
 # package invocation, so the targets run back to back.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRequestValidate -fuzztime $(FUZZTIME) ./internal/service
@@ -98,6 +100,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSSEParse -fuzztime $(FUZZTIME) ./internal/service/client
 	$(GO) test -run '^$$' -fuzz FuzzSolveBatchInPlace -fuzztime $(FUZZTIME) ./internal/pdn
 	$(GO) test -run '^$$' -fuzz FuzzSkitterSticky -fuzztime $(FUZZTIME) ./internal/skitter
+	$(GO) test -run '^$$' -fuzz FuzzWarmStart -fuzztime $(FUZZTIME) ./internal/core
 
 # bench compares the serial (Workers=1, Batch=1: the lane-per-run
 # shape every pre-batching release ran) and parallel (auto workers and

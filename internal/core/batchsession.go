@@ -69,6 +69,9 @@ type BatchSession struct {
 	// that current.
 	src []int
 	qOf []int
+
+	// warm skips a constant-load warmup another run already integrated.
+	warm warmStart
 }
 
 // powerEval samples workload w into pw[slot].
@@ -360,21 +363,15 @@ func (s *BatchSession) RunBatchContext(ctx context.Context, specs []RunSpec) ([]
 		}
 	}
 	s.refreshAliases()
-	if err := s.bt.Reset(start - warmup); err != nil {
-		return nil, err
+	// Warmup settles the PDN, mirroring Session.RunContext: the plan's
+	// evaluations are the distinct workloads.
+	t0 := start - warmup
+	s.warm.begin()
+	for k := range s.evals {
+		s.warm.add(&s.evals[k].w, s.evals[k].slot)
 	}
-	// Warmup settles the PDN, mirroring Session.RunContext.
-	ctr := 0
-	for s.bt.Time() < start-s.cfg.Dt/2 {
-		if ctr++; ctr >= ctxCheckSteps {
-			ctr = 0
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if err := s.bt.Step(); err != nil {
-			return nil, err
-		}
+	if err := s.warm.warmUp(ctx, s.bt, t0, start, s.cfg.Dt, s.vnom, s.src); err != nil {
+		return nil, err
 	}
 	for l := 0; l < s.lanes; l++ {
 		for _, m := range s.macros[l] {
@@ -427,6 +424,7 @@ func (s *BatchSession) RunBatchContext(ctx context.Context, specs []RunSpec) ([]
 		}
 	}
 	observe(0)
+	ctr := 0
 	for st := 1; st <= maxSteps; st++ {
 		if ctr++; ctr >= ctxCheckSteps {
 			ctr = 0

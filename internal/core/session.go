@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"voltnoise/internal/pdn"
@@ -19,8 +20,11 @@ import (
 // Between runs only the cheap state moves: load closures re-read the
 // session's workload slots, Transient.Reset re-derives the DC
 // operating point with the cached factorization, and the macros clear
-// their sticky registers. Results are bit-identical to a fresh
-// Platform.Run for every run in the sequence.
+// their sticky registers. A run whose warmup proves to repeat, load
+// for load and instant for instant, the constant-load warmup an
+// earlier run on the session integrated restores the state that
+// warmup ended in instead of stepping (see warmStart). Results are
+// bit-identical to a fresh Platform.Run for every run in the sequence.
 //
 // A Session is NOT safe for concurrent use; parallel studies draw one
 // session per in-flight measurement from a SessionPool.
@@ -56,6 +60,9 @@ type Session struct {
 	// so the (bit-identical) division runs once per distinct workload
 	// instead of once per core.
 	iq [NumCores]float64
+
+	// warm skips a constant-load warmup another run already integrated.
+	warm warmStart
 }
 
 // NewSession builds a session at nominal voltage (bias 1.0).
@@ -235,21 +242,18 @@ func (s *Session) RunContext(ctx context.Context, spec RunSpec) (*Measurement, e
 		}
 	}
 	s.refreshAliases()
-	if err := s.tr.Reset(spec.Start - warmup); err != nil {
-		return nil, err
+	// Warmup settles the PDN — or restores the state a proven-identical
+	// warmup ended in.
+	t0 := spec.Start - warmup
+	s.warm.begin()
+	for i := range s.wl {
+		if s.src[i] == i {
+			s.warm.add(&s.wl[i], i)
+		}
 	}
-	// Warmup settles the PDN; mirrors Transient.RunUntil.
-	ctr := 0
-	for s.tr.Time() < spec.Start-s.cfg.Dt/2 {
-		if ctr++; ctr >= ctxCheckSteps {
-			ctr = 0
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if err := s.tr.Step(); err != nil {
-			return nil, err
-		}
+	vnom := [1]float64{s.vnom}
+	if err := s.warm.warmUp(ctx, s.tr, t0, spec.Start, s.cfg.Dt, vnom[:], s.src[:]); err != nil {
+		return nil, err
 	}
 	for _, m := range s.macros {
 		m.Reset()
@@ -285,6 +289,7 @@ func (s *Session) RunContext(ctx context.Context, spec RunSpec) (*Measurement, e
 		}
 	}
 	observe(0)
+	ctr := 0
 	for st := 1; st <= steps; st++ {
 		if ctr++; ctr >= ctxCheckSteps {
 			ctr = 0
@@ -327,6 +332,9 @@ type SessionPool struct {
 
 	autoOnce  sync.Once
 	autoWidth int
+
+	// Warm starts gathered from returned sessions (see WarmStarts).
+	warmRuns, warmSkipped atomic.Int64
 }
 
 // NewSessionPool returns an empty pool for the configuration.
@@ -360,8 +368,28 @@ func (sp *SessionPool) Get(bias float64) (*Session, error) {
 // after Put.
 func (sp *SessionPool) Put(s *Session) {
 	if s != nil {
+		sp.collect(&s.warm)
 		sp.pool.Put(s)
 	}
+}
+
+// WarmStarts reports how many runs on the pool's sessions restored a
+// warm-start entry instead of integrating their warmup, and how many
+// lane-steps those runs skipped (a width-B batch run skips B per warmup
+// step). A session's counts are gathered when it comes back through
+// Put or PutBatch, never inside a run.
+func (sp *SessionPool) WarmStarts() (runs, laneSteps int64) {
+	return sp.warmRuns.Load(), sp.warmSkipped.Load()
+}
+
+// collect moves a returned session's warm-start counts to the pool.
+func (sp *SessionPool) collect(w *warmStart) {
+	if w.hits == 0 {
+		return
+	}
+	sp.warmRuns.Add(w.hits)
+	sp.warmSkipped.Add(w.skipped)
+	w.hits, w.skipped = 0, 0
 }
 
 // GetBatch returns a lockstep batch session of the given lane width
@@ -466,6 +494,7 @@ func (sp *SessionPool) PutBatch(s *BatchSession) {
 	if s == nil {
 		return
 	}
+	sp.collect(&s.warm)
 	sp.bmu.Lock()
 	if sp.batch == nil {
 		sp.batch = make(map[int][]*BatchSession)

@@ -20,6 +20,13 @@ import (
 // power is defined on absolute simulation time so that deliberately
 // (mis)aligned multi-core stressmarks express their phase relationship
 // naturally.
+//
+// Power must be a pure function of t: same t, same bits, whatever was
+// asked before. The sessions rely on it twice. Cores (and batch lanes)
+// holding the same comparable workload value share one sample per
+// step, and the warm-start scan samples a run's warmup instants ahead
+// of the engine, then reuses the state an earlier run's identical
+// warmup ended in.
 type Workload interface {
 	// Power returns the core power in watts at absolute time t.
 	Power(t float64) float64
@@ -119,8 +126,9 @@ func (w FuncWorkload) Name() string { return w.Label }
 // workload value, guarding against uncomparable dynamic types (e.g.
 // FuncWorkload, whose func field makes == panic). The sessions use it
 // to evaluate a power waveform shared by several cores only once per
-// step — FuncWorkload is deliberately never deduplicated, since an
-// arbitrary Fn need not be pure.
+// step. FuncWorkload values are never deduplicated: their func field
+// makes them incomparable, so two slots are never known to hold the
+// same one.
 func sameWorkload(a, b Workload) bool {
 	if a == nil || b == nil {
 		return false

@@ -199,42 +199,102 @@ func TestZEC12L3BridgeAblation(t *testing.T) {
 	}
 }
 
+// TestZEC12TransientMatchesImpedanceAtResonance is an oracle that
+// shares no code with the transient engine: the phasor impedance
+// solve. A sinusoidal load drives core 0 at each point of a grid across
+// both resonant bands (the ~37 kHz mid-frequency band and the ~2 MHz
+// first droop); once settled, the voltage amplitude the time-domain
+// integration produces must match |Z(f)|·I within 10%. The error at
+// every point is logged as a table.
 func TestZEC12TransientMatchesImpedanceAtResonance(t *testing.T) {
-	// Drive a sinusoidal load at the droop resonance and verify the
-	// steady-state voltage amplitude matches |Z| * I within tolerance.
 	cfg := DefaultZEC12Config()
-	c, nodes := ZEC12(cfg)
-	const f0 = 2e6
 	const amp = 10.0
-	for i := 0; i < NumCores; i++ {
-		i := i
-		c.AddLoad("core", nodes.Core[i], func(tm float64) float64 {
-			if i != 0 {
-				return 0
-			}
-			return amp * (1 + math.Sin(2*math.Pi*f0*tm)) / 2
+	grid := []float64{20e3, 30e3, 37e3, 45e3, 60e3, 1e6, 1.5e6, 2e6, 2.5e6, 3.5e6}
+	t.Logf("%10s %8s %12s %12s %9s", "f (Hz)", "dt (s)", "transient V", "|Z|·I V", "error")
+	for _, f0 := range grid {
+		c, nodes := ZEC12(cfg)
+		for i := 0; i < NumCores; i++ {
+			i := i
+			c.AddLoad("core", nodes.Core[i], func(tm float64) float64 {
+				if i != 0 {
+					return 0
+				}
+				return amp * (1 + math.Sin(2*math.Pi*f0*tm)) / 2
+			})
+		}
+		z, err := c.Impedance(nodes.Core[0], f0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Thousands of steps per period in either band.
+		dt := 1e-9
+		if f0 < 200e3 {
+			dt = 10e-9
+		}
+		tr, err := NewTransient(c, dt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Settle for 20 periods, and at least 200 us so the slower
+		// band's natural response has died out, then measure 5.
+		if err := tr.RunUntil(math.Max(20/f0, 200e-6)); err != nil {
+			t.Fatal(err)
+		}
+		traces, err := tr.Run(5/f0, []NodeID{nodes.Core[0]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotAmp := traces[0].PeakToPeak() / 2
+		wantAmp := mag(z) * amp / 2
+		rel := (gotAmp - wantAmp) / wantAmp
+		t.Logf("%10.0f %8.0e %12.6g %12.6g %+8.4f%%", f0, dt, gotAmp, wantAmp, 100*rel)
+		if math.Abs(rel) > 0.1 {
+			t.Errorf("f=%g: steady-state amplitude %g, want %g (|Z|=%g)", f0, gotAmp, wantAmp, mag(z))
+		}
+	}
+}
+
+// TestZEC12TrapezoidalConvergesSecondOrder: the trapezoidal rule is
+// second order, so halving Dt must cut the error in the droop — the
+// deepest core voltage under a smooth 2 MHz load, read at instants
+// every step size shares — by about 4× against a Dt/64 reference.
+func TestZEC12TrapezoidalConvergesSecondOrder(t *testing.T) {
+	cfg := DefaultZEC12Config()
+	const window, coarse, refDiv = 2e-6, 8e-9, 64
+	run := func(dt float64) []float64 {
+		c, nodes := ZEC12(cfg)
+		c.AddLoad("core0", nodes.Core[0], func(tm float64) float64 {
+			return 10 * (1 + math.Sin(2*math.Pi*2e6*tm)) / 2
 		})
+		tr, err := NewTransient(c, dt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces, err := tr.Run(window, []NodeID{nodes.Core[0]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return traces[0].Samples
 	}
-	z, err := c.Impedance(nodes.Core[0], f0)
-	if err != nil {
-		t.Fatal(err)
+	// droop returns the lowest sample at the coarse grid's instants.
+	droop := func(v []float64, stride int) float64 {
+		low := math.Inf(1)
+		for k := 0; k < len(v); k += stride {
+			low = math.Min(low, v[k])
+		}
+		return low
 	}
-	tr, err := NewTransient(c, 1e-9)
-	if err != nil {
-		t.Fatal(err)
+	ref := droop(run(coarse/refDiv), refDiv)
+	var errs []float64
+	for div := 1; div <= 4; div *= 2 {
+		e := math.Abs(droop(run(coarse/float64(div)), div) - ref)
+		t.Logf("dt %5.1f ns: droop error %.4g V", coarse/float64(div)*1e9, e)
+		errs = append(errs, e)
 	}
-	// Warm up several periods, then measure.
-	if err := tr.RunUntil(20 / f0); err != nil {
-		t.Fatal(err)
-	}
-	traces, err := tr.Run(5/f0, []NodeID{nodes.Core[0]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotAmp := traces[0].PeakToPeak() / 2
-	wantAmp := mag(z) * amp / 2
-	if math.Abs(gotAmp-wantAmp)/wantAmp > 0.1 {
-		t.Errorf("steady-state amplitude %g, want %g (|Z|=%g)", gotAmp, wantAmp, mag(z))
+	for i := 1; i < len(errs); i++ {
+		if r := errs[i-1] / errs[i]; r < 3.2 || r > 4.8 {
+			t.Errorf("halving dt to %.1f ns cut the droop error %.3gx, want ~4x", coarse/float64(int(1)<<i)*1e9, r)
+		}
 	}
 }
 
