@@ -7,8 +7,12 @@
 #   make bench-check fresh run compared against the committed snapshot
 #                    (prints the per-benchmark delta table either way)
 #   make fuzz-smoke  short fuzzing pass over the request validator,
-#                    the study folds, the journal replayer and the
-#                    client's SSE frame parser (plus their seed corpora)
+#                    the study folds, the journal replayer, the
+#                    client's SSE frame parser, the pdn solve and step
+#                    kernels (plus their seed corpora) and more
+#   make fma-check   cross-compile internal/pdn for arm64, ppc64le,
+#                    s390x and riscv64 and fail on any fused
+#                    multiply-add not written as math.FMA
 #   make profile     CPU profiles of the FrequencySweep pair and the
 #                    core BatchSessionRun windows into results/ for
 #                    step-kernel and load-fill hot-spot digging
@@ -22,7 +26,7 @@
 #                    byte-identical assembled result
 #   make ci          everything the CI gate runs (tier-1 + race +
 #                    fault injection + fuzz smoke + batch determinism +
-#                    stream smoke + bench-check)
+#                    FMA check + stream smoke + bench-check)
 #
 # BENCH_PR pins which PR's snapshot bench-json writes and bench-check
 # diffs against; BENCH_SELECT narrows bench/bench-json; BENCH_OUT /
@@ -47,7 +51,7 @@ BENCH_COUNT ?= 4
 BENCH_MAX_REGRESS ?= 40%
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test tier1 race batch-determinism fuzz-smoke fault recover-smoke stream-smoke bench bench-json bench-check profile run-service ci clean
+.PHONY: all build vet test tier1 race batch-determinism fuzz-smoke fma-check fault recover-smoke stream-smoke bench bench-json bench-check profile run-service ci clean
 
 all: tier1
 
@@ -87,8 +91,11 @@ batch-determinism:
 # replayer (arbitrary on-disk bytes), the client's SSE frame parser (arbitrary stream bytes), the
 # in-place batch substitution kernels (random sparse systems, every
 # lane width — the width-8/16 vector and Go bodies and the element-wise
-# walk of the other widths — vs the element-wise reference), and
-# the skitter sticky state machine (random configs x voltage walks,
+# walk of the other widths — vs the element-wise reference), the
+# batched step (random RLC netlists with lane-specific supplies and
+# loads at widths 1-16: the vector step, the Go step walk and one
+# single-lane engine per lane, bit for bit), the skitter sticky state
+# machine (random configs x voltage walks,
 # certified table vs exact evaluation), and the sessions' warm-start
 # memo (random run sequences on one reused session vs fresh sessions).
 # Go allows one -fuzz pattern per
@@ -99,8 +106,19 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime $(FUZZTIME) ./internal/service/journal
 	$(GO) test -run '^$$' -fuzz FuzzSSEParse -fuzztime $(FUZZTIME) ./internal/service/client
 	$(GO) test -run '^$$' -fuzz FuzzSolveBatchInPlace -fuzztime $(FUZZTIME) ./internal/pdn
+	$(GO) test -run '^$$' -fuzz FuzzBatchStep -fuzztime $(FUZZTIME) ./internal/pdn
 	$(GO) test -run '^$$' -fuzz FuzzSkitterSticky -fuzztime $(FUZZTIME) ./internal/skitter
 	$(GO) test -run '^$$' -fuzz FuzzWarmStart -fuzztime $(FUZZTIME) ./internal/core
+
+# fma-check guards the study bytes on hosts whose Go backends contract
+# x*y + z into one fused multiply-add (arm64, ppc64le, s390x, riscv64;
+# amd64 never does): it cross-compiles internal/pdn with -gcflags=-S
+# for each and fails on any fused op outside a line calling math.FMA.
+# Products that feed an add are written float64(x*y), which the spec
+# says forbids the fusion. Nothing runs, so no emulator is needed; the
+# bytes those hosts produce stay unverified without one.
+fma-check:
+	./scripts/fma_check.sh ./internal/pdn
 
 # bench compares the serial (Workers=1, Batch=1: the lane-per-run
 # shape every pre-batching release ran) and parallel (auto workers and
@@ -169,7 +187,8 @@ stream-smoke:
 	./scripts/stream_smoke.sh
 
 # ci is the full gate: tier-1 plus an arm64 cross-vet (there the
-# pure-Go substitution fallback is the only path, so it must build),
+# pure-Go substitution and step walks are the only path, so they must
+# build), the FMA check,
 # the race detector over the service (always, it is the concurrency
 # hot spot) and the internal packages,
 # the fault-injection and durability suites, the fuzz smoke pass, the
@@ -178,6 +197,7 @@ stream-smoke:
 # past BENCH_MAX_REGRESS.
 ci: tier1
 	GOARCH=arm64 $(GO) vet ./...
+	$(MAKE) fma-check
 	$(GO) test -race ./internal/service/...
 	$(GO) test -race ./internal/...
 	$(MAKE) fault

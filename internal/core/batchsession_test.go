@@ -16,7 +16,7 @@ func laneWorkload(lane int) Workload {
 	period := (0.4 + 0.1*float64(lane)) * 1e-6
 	hi := 40 + 4*float64(lane)
 	return FuncWorkload{Label: "lane-osc", Fn: func(t float64) float64 {
-		if math.Mod(t, period) < period/2 {
+		if floorMod(t, period) < period/2 {
 			return hi
 		}
 		return 12
@@ -586,7 +586,7 @@ func TestSessionPoolBatch(t *testing.T) {
 type squareWorkload struct{ period, hi, lo float64 }
 
 func (w squareWorkload) Power(t float64) float64 {
-	if math.Mod(t, w.period) < w.period/2 {
+	if floorMod(t, w.period) < w.period/2 {
 		return w.hi
 	}
 	return w.lo

@@ -121,7 +121,7 @@ func TestOscillatingWorkloadProducesNoise(t *testing.T) {
 	var wl [NumCores]Workload
 	for i := range wl {
 		wl[i] = FuncWorkload{Label: "osc", Fn: func(t float64) float64 {
-			if math.Mod(t, 0.5e-6) < 0.25e-6 {
+			if floorMod(t, 0.5e-6) < 0.25e-6 {
 				return 50
 			}
 			return 16

@@ -10,11 +10,22 @@ import (
 // reuse bugs that perturb circuit state show up in every observable.
 func oscWorkload() Workload {
 	return FuncWorkload{Label: "osc", Fn: func(t float64) float64 {
-		if math.Mod(t, 0.5e-6) < 0.25e-6 {
+		if floorMod(t, 0.5e-6) < 0.25e-6 {
 			return 50
 		}
 		return 16
 	}}
+}
+
+// floorMod is t modulo period in [0, period) for negative t too: the
+// test square waves keep toggling through warmups before t = 0, where
+// math.Mod, which takes t's sign, would hold them high.
+func floorMod(t, period float64) float64 {
+	r := math.Mod(t, period)
+	if r < 0 {
+		r += period
+	}
+	return r
 }
 
 // identicalMeasurements compares every field of two measurements

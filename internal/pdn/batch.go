@@ -58,6 +58,12 @@ type BatchTransient struct {
 	hist []float64 // companion history source per element x lane
 	pots []float64 // node potentials per node x lane
 
+	// src backs hist, planFA, planFB and loadCur, in that order: every
+	// right-hand-side term the step adds or subtracts lies in this one
+	// buffer, so the compiled plan addresses each by a byte offset from
+	// one base.
+	src []float64
+
 	// fixedPot holds the per-lane potential of every fixed node
 	// (node x lane), seeded from the circuit at construction. It is
 	// engine-owned state: retune supplies with SetLaneFixed, not
@@ -67,6 +73,7 @@ type BatchTransient struct {
 	plan   []stepElem // per-step RHS contributors, in element order
 	planFA []float64  // fixed-node contributions per plan entry x lane
 	planFB []float64
+	vec    vecPlan // plan compiled for the vector step (widths 8 and 16)
 
 	// rhs holds the n x lanes right-hand sides, assembled directly in
 	// permuted row order; the substitutions run in place in this buffer,
@@ -163,7 +170,6 @@ func newBatchTransient(c *Circuit, dt, start float64, lanes int) (*BatchTransien
 		c: c, dt: dt, lanes: lanes, idx: idx, n: n, time: start,
 		vab:      make([]float64, len(c.elements)*lanes),
 		ibr:      make([]float64, len(c.elements)*lanes),
-		hist:     make([]float64, len(c.elements)*lanes),
 		pots:     make([]float64, c.NumNodes()*lanes),
 		fixedPot: make([]float64, c.NumNodes()*lanes),
 		rhs:      make([]float64, n*lanes),
@@ -270,9 +276,9 @@ func (t *BatchTransient) BranchCurrent(lane, i int) float64 {
 	v := t.pots[int(e.a)*t.lanes+lane] - t.pots[int(e.b)*t.lanes+lane]
 	switch e.kind {
 	case kindCapacitor:
-		return t.geq[i]*v - t.hist[i*t.lanes+lane]
+		return float64(t.geq[i]*v) - t.hist[i*t.lanes+lane]
 	case kindInductor:
-		return t.geq[i]*v + t.hist[i*t.lanes+lane]
+		return float64(t.geq[i]*v) + t.hist[i*t.lanes+lane]
 	default: // resistor
 		return v * t.geq[i]
 	}
@@ -302,11 +308,6 @@ func (t *BatchTransient) buildPlan() {
 	for _, ld := range t.loads {
 		t.loadP = append(t.loadP, t.idxP[ld.Node])
 	}
-	if need := len(t.loads) * t.lanes; cap(t.loadCur) < need {
-		t.loadCur = make([]float64, need)
-	} else {
-		t.loadCur = t.loadCur[:need]
-	}
 	t.plan = t.plan[:0]
 	for ei, e := range t.c.elements {
 		pe := stepElem{kind: e.kind, ei: ei, geq: t.geq[ei], na: int(e.a), nb: int(e.b), ia: t.idx[e.a], ib: t.idx[e.b]}
@@ -319,13 +320,16 @@ func (t *BatchTransient) buildPlan() {
 		t.plan = append(t.plan, pe)
 	}
 	B := t.lanes
-	if need := len(t.plan) * B; cap(t.planFA) < need {
-		t.planFA = make([]float64, need)
-		t.planFB = make([]float64, need)
+	nh, nf, nl := len(t.c.elements)*B, len(t.plan)*B, len(t.loads)*B
+	if need := nh + 2*nf + nl; cap(t.src) < need {
+		t.src = make([]float64, need) // initState, run after every buildPlan, re-derives hist
 	} else {
-		t.planFA = t.planFA[:need]
-		t.planFB = t.planFB[:need]
+		t.src = t.src[:need]
 	}
+	t.hist = t.src[:nh:nh]
+	t.planFA = t.src[nh : nh+nf : nh+nf]
+	t.planFB = t.src[nh+nf : nh+2*nf : nh+2*nf]
+	t.loadCur = t.src[nh+2*nf : nh+2*nf+nl : nh+2*nf+nl]
 	for pi := range t.plan {
 		pe := &t.plan[pi]
 		e := t.c.elements[pe.ei]
@@ -338,6 +342,7 @@ func (t *BatchTransient) buildPlan() {
 			}
 		}
 	}
+	t.vec.compile(t)
 }
 
 // initState derives each lane's initial condition from its DC
@@ -360,10 +365,10 @@ func (t *BatchTransient) initState() error {
 			}
 			ia, ib := t.idx[e.a], t.idx[e.b]
 			if ia >= 0 && ib < 0 {
-				rhs[ia] += ge * t.fixedPot[int(e.b)*B+l]
+				rhs[ia] += float64(ge * t.fixedPot[int(e.b)*B+l])
 			}
 			if ib >= 0 && ia < 0 {
-				rhs[ib] += ge * t.fixedPot[int(e.a)*B+l]
+				rhs[ib] += float64(ge * t.fixedPot[int(e.a)*B+l])
 			}
 		}
 		for k, ld := range t.loads {
@@ -398,9 +403,9 @@ func (t *BatchTransient) initState() error {
 		for ei, e := range c.elements {
 			switch e.kind {
 			case kindCapacitor:
-				t.hist[ei*B+l] = t.geq[ei]*t.vab[ei*B+l] + t.ibr[ei*B+l]
+				t.hist[ei*B+l] = float64(t.geq[ei]*t.vab[ei*B+l]) + t.ibr[ei*B+l]
 			case kindInductor:
-				t.hist[ei*B+l] = t.ibr[ei*B+l] + t.geq[ei]*t.vab[ei*B+l]
+				t.hist[ei*B+l] = t.ibr[ei*B+l] + float64(t.geq[ei]*t.vab[ei*B+l])
 			}
 		}
 	}
@@ -409,8 +414,12 @@ func (t *BatchTransient) initState() error {
 
 // Step advances every lane by one timestep. It allocates nothing.
 // The width dispatch is the engine's only per-width code: the
-// specialized widths run the one step walk over fixed-size lane blocks.
+// specialized widths run the vector step on hosts with AVX2 and the
+// one Go step walk over fixed-size lane blocks elsewhere.
 func (t *BatchTransient) Step() error {
+	if useAVX2 && t.vec.ok {
+		return t.stepVector()
+	}
 	switch t.lanes {
 	case DefaultBatchLanes:
 		return stepWalk[*[DefaultBatchLanes]float64](t)
@@ -424,10 +433,15 @@ func (t *BatchTransient) Step() error {
 // laneBlock), whose length must equal t.lanes. Per lane it performs
 // the same floating-point operations in the same order as the
 // single-lane Transient.Step, so lanes stay bit-identical to
-// single-lane engines at every width.
+// single-lane engines at every width. It is the reference the vector
+// step (stepVector) is pinned to.
 func stepWalk[P laneBlock](t *BatchTransient) error {
 	B := blockLanes[P](t.lanes)
 	next := t.time + t.dt
+	// Loads filled at the new time (backward-looking sources keep the
+	// trapezoidal solve linear). The fill reads no engine state, so it
+	// runs first; its rows are subtracted after the plan's terms.
+	t.fill(next, t.loadCur)
 	rhs := t.rhs
 	for i := range rhs {
 		rhs[i] = 0
@@ -467,12 +481,12 @@ func stepWalk[P laneBlock](t *BatchTransient) error {
 			pb := P(t.pots[pe.nb*B : pe.nb*B+B])
 			if pe.kind == kindCapacitor {
 				for l := 0; l < len(hist); l++ {
-					gv := geq * (pa[l] - pb[l])
+					gv := float64(geq * (pa[l] - pb[l]))
 					hist[l] = gv + (gv - hist[l])
 				}
 			} else {
 				for l := 0; l < len(hist); l++ {
-					gv := geq * (pa[l] - pb[l])
+					gv := float64(geq * (pa[l] - pb[l]))
 					hist[l] = (gv + hist[l]) + gv
 				}
 			}
@@ -521,10 +535,7 @@ func stepWalk[P laneBlock](t *BatchTransient) error {
 			}
 		}
 	}
-	// Loads filled at the new time (backward-looking sources keep the
-	// trapezoidal solve linear). Per lane each RHS row still subtracts
-	// its loads in insertion order.
-	t.fill(next, t.loadCur)
+	// Per lane each RHS row subtracts its loads in insertion order.
 	for k, i := range t.loadP {
 		if i < 0 {
 			continue
@@ -555,7 +566,7 @@ func stepWalk[P laneBlock](t *BatchTransient) error {
 		}
 	}
 	if bad >= 0 {
-		return fmt.Errorf("pdn: integration diverged at t=%g (lane %d)", next, bad)
+		return divergedAt(next, bad)
 	}
 	t.time = next
 	t.step++
@@ -579,7 +590,7 @@ func (t *BatchTransient) LaneFootprintBytes() int {
 // RunUntil advances all lanes until the given absolute time without
 // recording anything. Useful for warm-up.
 func (t *BatchTransient) RunUntil(until float64) error {
-	for t.time < until-t.dt/2 {
+	for t.time < until-float64(t.dt/2) {
 		if err := t.Step(); err != nil {
 			return err
 		}

@@ -67,10 +67,10 @@ func newBatchRLCFill(t *testing.T, lanes int, start float64) (*BatchTransient, N
 	return bt, out
 }
 
-// solveModes lists the substitution bodies a host can run: the vector
-// kernels where available, and always the pure-Go fallback.
-func solveModes() []bool {
-	if useSolveAVX2 {
+// vectorModes lists the bodies a host can run: the vector kernels
+// where available, and always the pure-Go fallback.
+func vectorModes() []bool {
+	if useAVX2 {
 		return []bool{true, false}
 	}
 	return []bool{false}
@@ -81,8 +81,9 @@ func solveModes() []bool {
 // dedicated single-lane Transient over thousands of steps — node
 // potentials every step, and the companion state through the branch
 // currents — at the generic and default widths, through both the
-// vector and the pure-Go solve bodies, from two start times. This is
-// the core contract of the lockstep engine.
+// vector step (assemble, solve and scatter kernels) and the pure-Go
+// walk, from two start times. This is the core contract of the
+// lockstep engine.
 func TestBatchLanesMatchSingleLane(t *testing.T) {
 	for _, lanes := range []int{3, 4, DefaultBatchLanes} {
 		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
@@ -99,22 +100,22 @@ func TestBatchWidthOneMatchesSingle(t *testing.T) {
 }
 
 // TestBatch16LanesMatchSingleLane extends the core lockstep contract to
-// the wide width, through both the vector and the pure-Go solve bodies.
+// the wide width, through both the vector step and the pure-Go walk.
 func TestBatch16LanesMatchSingleLane(t *testing.T) {
 	checkWidthMatchesSingles(t, WideBatchLanes)
 }
 
 // checkWidthMatchesSingles runs the lockstep contract for one batch
-// width over every solve body the host has, two start times, and both
+// width over every step body the host has, two start times, and both
 // load paths: the onLane closure fill, then a dense LoadFill in the
 // nested "dense" case.
 func checkWidthMatchesSingles(t *testing.T, lanes int) {
-	modes, saved := solveModes(), useSolveAVX2
-	defer func() { useSolveAVX2 = saved }()
+	modes, saved := vectorModes(), useAVX2
+	defer func() { useAVX2 = saved }()
 	for _, vec := range modes {
 		for _, start := range []float64{0, -3e-6} {
 			t.Run(fmt.Sprintf("vector=%v/start=%g", vec, start), func(t *testing.T) {
-				useSolveAVX2 = vec
+				useAVX2 = vec
 				checkBatchMatchesSingles(t, lanes, start, false)
 				t.Run("dense", func(t *testing.T) {
 					checkBatchMatchesSingles(t, lanes, start, true)
@@ -304,36 +305,121 @@ func TestBatchRejectsBadArgs(t *testing.T) {
 
 // TestBatchStepDoesNotAllocate pins the lockstep step loop as
 // allocation-free, alongside the single-lane guard: the batch engine
-// must run entirely on preallocated state whatever the width.
+// must run entirely on preallocated state whatever the width, on the
+// vector step and the Go walk, through the closure and the dense fill.
 func TestBatchStepDoesNotAllocate(t *testing.T) {
-	modes, saved := solveModes(), useSolveAVX2
-	defer func() { useSolveAVX2 = saved }()
+	modes, saved := vectorModes(), useAVX2
+	defer func() { useAVX2 = saved }()
 	for _, lanes := range []int{1, 3, 4, DefaultBatchLanes, WideBatchLanes} {
 		for _, vec := range modes {
-			useSolveAVX2 = vec
-			bt, _ := newBatchRLC(t, lanes, 0)
-			if allocs := testing.AllocsPerRun(100, func() {
-				if err := bt.Step(); err != nil {
-					t.Fatal(err)
+			useAVX2 = vec
+			for _, dense := range []bool{false, true} {
+				newBatch := newBatchRLC
+				if dense {
+					newBatch = newBatchRLCFill
 				}
-			}); allocs != 0 {
-				t.Errorf("lanes=%d vector=%v: Step allocates %v objects per call, want 0", lanes, vec, allocs)
+				bt, _ := newBatch(t, lanes, 0)
+				if allocs := testing.AllocsPerRun(100, func() {
+					if err := bt.Step(); err != nil {
+						t.Fatal(err)
+					}
+				}); allocs != 0 {
+					t.Errorf("lanes=%d vector=%v dense=%v: Step allocates %v objects per call, want 0", lanes, vec, dense, allocs)
+				}
 			}
 		}
 	}
 }
 
+// TestBatchStepDetectsDivergence injects NaN and ±Inf load currents
+// into each lane alone, then into pairs of lanes, at a generic and
+// both specialized widths, and requires every step body to fail the
+// first step past the trip time with the same error: that step's time
+// and the lane of the last non-finite solution in row-major order —
+// the highest poisoned lane, since the poison reaches every unknown of
+// its lane.
+func TestBatchStepDetectsDivergence(t *testing.T) {
+	const trip = 0.5e-6
+	modes, saved := vectorModes(), useAVX2
+	defer func() { useAVX2 = saved }()
+	for _, lanes := range []int{3, DefaultBatchLanes, WideBatchLanes} {
+		for _, poison := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			for _, poisoned := range poisonedLanes(lanes) {
+				t.Run(fmt.Sprintf("lanes=%d/load=%v/poisoned=%v", lanes, poison, poisoned), func(t *testing.T) {
+					var first string
+					for _, vec := range modes {
+						useAVX2 = vec
+						bt := newPoisonedBatch(t, lanes, trip, poison, poisoned)
+						err := bt.RunUntil(2 * trip)
+						if err == nil {
+							t.Fatalf("vector=%v: poisoned lanes %v survived the run", vec, poisoned)
+						}
+						if bt.Time() > trip || bt.Time()+bt.Dt() <= trip {
+							t.Errorf("vector=%v: failed at t=%g, want the first step past %g", vec, bt.Time()+bt.Dt(), trip)
+						}
+						want := fmt.Sprintf("pdn: integration diverged at t=%g (lane %d)", bt.Time()+bt.Dt(), poisoned[len(poisoned)-1])
+						if err.Error() != want {
+							t.Errorf("vector=%v: error %q, want %q", vec, err, want)
+						}
+						if first == "" {
+							first = err.Error()
+						} else if err.Error() != first {
+							t.Errorf("vector=%v: error %q differs from the other path's %q", vec, err, first)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// poisonedLanes lists the lane sets the divergence test poisons: every
+// lane alone (so each vector of a lane block must raise the mask),
+// then pairs that straddle vectors.
+func poisonedLanes(lanes int) [][]int {
+	var sets [][]int
+	for l := 0; l < lanes; l++ {
+		sets = append(sets, []int{l})
+	}
+	return append(sets, []int{0, lanes - 1}, []int{1, lanes / 2})
+}
+
+// newPoisonedBatch is newBatchRLCFill whose poisoned lanes draw the
+// poison current from the first step past trip on.
+func newPoisonedBatch(t *testing.T, lanes int, trip, poison float64, poisoned []int) *BatchTransient {
+	t.Helper()
+	ckt, _ := rlcWithLoad(func(float64) float64 { panic("filled load's closure called") })
+	bt, err := NewBatchTransientFill(ckt, 1e-9, 0, lanes, func(tm float64, dst []float64) {
+		for l := range dst {
+			dst[l] = batchWave(l)(tm)
+		}
+		if tm > trip {
+			for _, l := range poisoned {
+				dst[l] = poison
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bt
+}
+
 // BenchmarkBatchStep measures the per-step cost of the multi-RHS
-// engine on the calibrated zEC12 network at the production widths. The
-// interesting ratio is ns/op at width 8 versus 8x width 1: the shared
-// plan walk and the eight independent dependency chains in the solve
-// should make the batch substantially cheaper than eight single
-// steps. The AllocsPerRun guard above keeps the loop at 0 allocs/step.
+// engine on the calibrated zEC12 network at the production widths and
+// reports it per lane-step, the unit of BenchmarkTransientStep. The
+// LanesN cases evaluate each (lane, load) through its Current closure;
+// the Dense/LanesN cases write a cheap lane-distinct square wave
+// through a LoadFill (NewBatchTransientFill, the path core.BatchSession
+// takes), so they time the step itself: the plan walk, the solve and
+// the scatter. Batching pays only where Dense ns/lane-step falls below
+// BenchmarkTransientStep's ns/op. The AllocsPerRun guard above keeps
+// both loops at 0 allocs/step.
 func BenchmarkBatchStep(b *testing.B) {
 	for _, lanes := range []int{1, 4, 8, 16} {
-		b.Run(map[int]string{1: "Lanes1", 4: "Lanes4", 8: "Lanes8", 16: "Lanes16"}[lanes], func(b *testing.B) {
-			cfg := DefaultZEC12Config()
-			ckt, nodes := ZEC12(cfg)
+		name := fmt.Sprintf("Lanes%d", lanes)
+		b.Run(name, func(b *testing.B) {
+			ckt, nodes := ZEC12(DefaultZEC12Config())
 			cur := 0
 			for i := range nodes.Core {
 				i := i
@@ -345,13 +431,56 @@ func BenchmarkBatchStep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := bt.Step(); err != nil {
-					b.Fatal(err)
+			benchLaneSteps(b, bt)
+		})
+		b.Run("Dense/"+name, func(b *testing.B) {
+			ckt, nodes := ZEC12(DefaultZEC12Config())
+			for i := range nodes.Core {
+				ckt.AddLoad("core", nodes.Core[i], func(float64) float64 { panic("filled load's closure called") })
+			}
+			bt, err := NewBatchTransientFill(ckt, 2e-9, 0, lanes, squareFill(len(nodes.Core), lanes))
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchLaneSteps(b, bt)
+		})
+	}
+}
+
+// benchLaneSteps times bt.Step and reports ns per lane-step.
+func benchLaneSteps(b *testing.B, bt *BatchTransient) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := bt.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bt.Lanes()), "ns/lane-step")
+}
+
+// squareFill returns a LoadFill driving load k of lane l with a square
+// wave of amplitude 2+0.5l amperes times k+1 and a lane-distinct
+// half-period of 200+50l calls, counted per call rather than computed
+// from the time so that the fill costs a few ns per step.
+func squareFill(loads, lanes int) LoadFill {
+	left := make([]int, lanes)
+	level := make([]float64, lanes)
+	return func(_ float64, dst []float64) {
+		for l := range left {
+			if left[l]--; left[l] <= 0 {
+				left[l] = 200 + 50*l
+				if level[l] == 0.5 {
+					level[l] = 2 + 0.5*float64(l)
+				} else {
+					level[l] = 0.5
 				}
 			}
-		})
+		}
+		for k := 0; k < loads; k++ {
+			for l, v := range level {
+				dst[k*lanes+l] = v * float64(k+1)
+			}
+		}
 	}
 }

@@ -14,6 +14,12 @@
 // motherboard and package stages, and two on-die voltage domains (cores
 // {0,2,4} and {1,3,5}) joined by a large deep-trench eDRAM L3
 // capacitance that acts as the damping element between them.
+//
+// Every product that feeds an addition is written float64(x*y): the
+// Go spec lets a compiler fuse x*y + z into one multiply-add that
+// rounds once, and the arm64, ppc64le, s390x and riscv64 backends do,
+// which would change results there. The explicit conversion forbids
+// the fusion; make fma-check fails on any fused op left in the package.
 package pdn
 
 import (
@@ -294,7 +300,7 @@ func LogSpace(lo, hi float64, n int) []float64 {
 		panic(fmt.Sprintf("pdn: LogSpace(%g, %g, %d)", lo, hi, n))
 	}
 	out := make([]float64, n)
-	llo, lhi := math.Log10(lo), math.Log10(hi)
+	llo, lhi := float64(math.Log10(lo)), float64(math.Log10(hi))
 	for i := range out {
 		out[i] = math.Pow(10, llo+(lhi-llo)*float64(i)/float64(n-1))
 	}

@@ -1,9 +1,20 @@
 package pdn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
+
+// solveBatchVector runs the AVX2 substitution kernel of width 8 or 16
+// over x, as the vector step does.
+func solveBatchVector(lu *realLU, x []float64, lanes int) {
+	if lanes == WideBatchLanes {
+		fwdBack16AVX2(lu.lVal, lu.lCol, lu.lPtr, lu.uVal, lu.uCol, lu.uPtr, lu.invDiag, x, lu.n)
+		return
+	}
+	fwdBack8AVX2(lu.lVal, lu.lCol, lu.lPtr, lu.uVal, lu.uCol, lu.uPtr, lu.invDiag, x, lu.n)
+}
 
 // permuteRHS assembles b in permuted row order for the in-place solve
 // paths: slot i carries b[perm[i]] (equivalently, the contribution to
@@ -73,10 +84,9 @@ func TestSolveInPlaceMatchesSolveInto(t *testing.T) {
 // widths. Hosts without the vector path have nothing to compare and
 // skip.
 func TestSolveBatchInPlaceVectorMatchesGo(t *testing.T) {
-	if !useSolveAVX2 {
+	if !useAVX2 {
 		t.Skip("no AVX2 vector kernels on this host")
 	}
-	defer func() { useSolveAVX2 = true }()
 	rng := rand.New(rand.NewSource(23))
 	factors := []*realLU{zec12LU(t)}
 	for trial := 0; trial < 20; trial++ {
@@ -105,11 +115,8 @@ func TestSolveBatchInPlaceVectorMatchesGo(t *testing.T) {
 			}
 			vec := permuteRHS(lu, b, lanes)
 			gop := permuteRHS(lu, b, lanes)
-			useSolveAVX2 = true
-			lu.solveBatchInPlace(vec, lanes)
-			useSolveAVX2 = false
+			solveBatchVector(lu, vec, lanes)
 			lu.solveBatchInPlace(gop, lanes)
-			useSolveAVX2 = true
 			byteIdentical(t, "vector vs Go", vec, gop)
 		}
 	}
@@ -118,10 +125,10 @@ func TestSolveBatchInPlaceVectorMatchesGo(t *testing.T) {
 // BenchmarkInPlaceSolve measures the in-place permuted-RHS
 // substitution kernels on the production factor — the per-step solve
 // cost at each width: InPlace1 is the single-lane walk, InPlace8 and
-// InPlace16 the specialized widths (vector kernels on AVX2 hosts),
-// Generic4 the element-wise walk every other width runs. Go8/Go16
-// force the pure-Go register blocks so the vector kernels' margin is
-// visible on AVX2 hosts.
+// InPlace16 the specialized widths (the vector kernels on AVX2 hosts,
+// as the vector step runs them), Generic4 the element-wise walk every
+// other width runs. Go8/Go16 time the Go step walk's solves, so the
+// vector kernels' margin is visible on AVX2 hosts.
 func BenchmarkInPlaceSolve(b *testing.B) {
 	lu := zec12LU(b)
 	n := lu.n
@@ -135,34 +142,29 @@ func BenchmarkInPlaceSolve(b *testing.B) {
 			lu.solveInPlace(x[:n])
 		}
 	})
-	b.Run("InPlace8", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			lu.solveBatch8InPlace(x[:n*8])
-		}
-	})
-	b.Run("InPlace16", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			lu.solveBatch16InPlace(x)
-		}
-	})
+	for _, lanes := range []int{DefaultBatchLanes, WideBatchLanes} {
+		b.Run(fmt.Sprintf("InPlace%d", lanes), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if useAVX2 {
+					solveBatchVector(lu, x[:n*lanes], lanes)
+				} else {
+					lu.solveBatchInPlace(x[:n*lanes], lanes)
+				}
+			}
+		})
+	}
 	b.Run("Generic4", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			lu.solveBatchInPlace(x[:n*4], 4)
 		}
 	})
-	if useSolveAVX2 {
-		defer func() { useSolveAVX2 = true }()
-		useSolveAVX2 = false
-		b.Run("Go8", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				lu.solveBatch8InPlace(x[:n*8])
-			}
-		})
-		b.Run("Go16", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				lu.solveBatch16InPlace(x)
-			}
-		})
-		useSolveAVX2 = true
+	if useAVX2 {
+		for _, lanes := range []int{DefaultBatchLanes, WideBatchLanes} {
+			b.Run(fmt.Sprintf("Go%d", lanes), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					lu.solveBatchInPlace(x[:n*lanes], lanes)
+				}
+			})
+		}
 	}
 }

@@ -81,7 +81,7 @@ func factorReal(a []float64, n int) (*realLU, error) {
 				continue
 			}
 			for j := col + 1; j < n; j++ {
-				lu[r*n+j] -= f * lu[col*n+j]
+				lu[r*n+j] -= float64(f * lu[col*n+j])
 			}
 		}
 	}
@@ -185,14 +185,14 @@ func (f *realLU) solveInPlace(x []float64) {
 	for i := 1; i < n; i++ {
 		sum := x[i]
 		for k := f.lPtr[i]; k < f.lPtr[i+1]; k++ {
-			sum -= f.lVal[k] * x[f.lCol[k]]
+			sum -= float64(f.lVal[k] * x[f.lCol[k]])
 		}
 		x[i] = sum
 	}
 	for i := n - 1; i >= 0; i-- {
 		sum := x[i]
 		for k := f.uPtr[i]; k < f.uPtr[i+1]; k++ {
-			sum -= f.uVal[k] * x[f.uCol[k]]
+			sum -= float64(f.uVal[k] * x[f.uCol[k]])
 		}
 		x[i] = sum * f.invDiag[i]
 	}
@@ -200,12 +200,13 @@ func (f *realLU) solveInPlace(x []float64) {
 
 // solveBatchInPlace is solveInPlace for `lanes` lockstep right-hand
 // sides (row i, lane l at i*lanes+l), already assembled in permuted
-// row order. Widths 8 and 16 dispatch to the vector kernels where the
-// host supports them; every other case runs the element-wise walk
-// (solveWalk), except the width-8 Go fallback, which keeps its
-// register-hoisted body. Per lane every path performs the
-// multiplies, subtractions and reciprocal scalings of the single-lane
-// walk in the same order, so lanes stay bit-identical at any width.
+// row order: the Go step walk's solve. Width 8 keeps its
+// register-hoisted body and every other width runs the element-wise
+// walk (solveWalk), over 16-lane array blocks at width 16. The vector
+// step calls the AVX2 kernels (fwdBack8AVX2, fwdBack16AVX2) instead.
+// Per lane every path performs the multiplies, subtractions and
+// reciprocal scalings of the single-lane walk in the same order, so
+// lanes stay bit-identical at any width and on either step.
 func (f *realLU) solveBatchInPlace(x []float64, lanes int) {
 	n := f.n
 	if lanes < 1 || len(x) != n*lanes {
@@ -214,12 +215,11 @@ func (f *realLU) solveBatchInPlace(x []float64, lanes int) {
 	switch lanes {
 	case DefaultBatchLanes:
 		f.solveBatch8InPlace(x)
-		return
 	case WideBatchLanes:
-		f.solveBatch16InPlace(x)
-		return
+		solveWalk[*[WideBatchLanes]float64](f, x, WideBatchLanes)
+	default:
+		solveWalk[[]float64](f, x, lanes)
 	}
-	solveWalk[[]float64](f, x, lanes)
 }
 
 // solveWalk is the element-wise in-place substitution over lane
@@ -236,7 +236,7 @@ func solveWalk[P laneBlock](f *realLU, x []float64, lanes int) {
 			j := int(f.lCol[k]) * lanes
 			xj := P(x[j : j+lanes])
 			for l := 0; l < len(xi); l++ {
-				xi[l] -= v * xj[l]
+				xi[l] -= float64(v * xj[l])
 			}
 		}
 	}
@@ -247,7 +247,7 @@ func solveWalk[P laneBlock](f *realLU, x []float64, lanes int) {
 			j := int(f.uCol[k]) * lanes
 			xj := P(x[j : j+lanes])
 			for l := 0; l < len(xi); l++ {
-				xi[l] -= v * xj[l]
+				xi[l] -= float64(v * xj[l])
 			}
 		}
 		d := f.invDiag[i]
@@ -257,21 +257,16 @@ func solveWalk[P laneBlock](f *realLU, x []float64, lanes int) {
 	}
 }
 
-// solveBatch8InPlace is the width-8 in-place substitution. Its Go body
-// hoists each row's eight lane accumulators into locals, so they live
-// in registers across the row's nonzero walk (x rows never self-alias
-// — L touches only columns < i, U only columns > i — which the
-// hoisting encodes and the compiler cannot know). On hosts with AVX2
-// the inner loops run in a hand-written vector kernel performing the
+// solveBatch8InPlace is the width-8 in-place substitution. It hoists
+// each row's eight lane accumulators into locals, so they live in
+// registers across the row's nonzero walk (x rows never self-alias —
+// L touches only columns < i, U only columns > i — which the hoisting
+// encodes and the compiler cannot know). fwdBack8AVX2 performs the
 // identical IEEE multiplies and subtractions in the identical order
 // (each 8-lane row is two 4-lane vectors; lanes are independent, so
 // vectorizing across them reorders nothing within a lane) — results
 // are bit-identical to this Go walk, as the equivalence tests pin.
 func (f *realLU) solveBatch8InPlace(x []float64) {
-	if useSolveAVX2 {
-		fwdBack8AVX2(f.lVal, f.lCol, f.lPtr, f.uVal, f.uCol, f.uPtr, f.invDiag, x, f.n)
-		return
-	}
 	const B = DefaultBatchLanes
 	n := f.n
 	for i := 1; i < n; i++ {
@@ -281,14 +276,14 @@ func (f *realLU) solveBatch8InPlace(x []float64) {
 			v := f.lVal[k]
 			base := int(f.lCol[k]) * B
 			xj := (*[B]float64)(x[base : base+B])
-			x0 -= v * xj[0]
-			x1 -= v * xj[1]
-			x2 -= v * xj[2]
-			x3 -= v * xj[3]
-			x4 -= v * xj[4]
-			x5 -= v * xj[5]
-			x6 -= v * xj[6]
-			x7 -= v * xj[7]
+			x0 -= float64(v * xj[0])
+			x1 -= float64(v * xj[1])
+			x2 -= float64(v * xj[2])
+			x3 -= float64(v * xj[3])
+			x4 -= float64(v * xj[4])
+			x5 -= float64(v * xj[5])
+			x6 -= float64(v * xj[6])
+			x7 -= float64(v * xj[7])
 		}
 		xi[0], xi[1], xi[2], xi[3], xi[4], xi[5], xi[6], xi[7] = x0, x1, x2, x3, x4, x5, x6, x7
 	}
@@ -299,28 +294,16 @@ func (f *realLU) solveBatch8InPlace(x []float64) {
 			v := f.uVal[k]
 			base := int(f.uCol[k]) * B
 			xj := (*[B]float64)(x[base : base+B])
-			x0 -= v * xj[0]
-			x1 -= v * xj[1]
-			x2 -= v * xj[2]
-			x3 -= v * xj[3]
-			x4 -= v * xj[4]
-			x5 -= v * xj[5]
-			x6 -= v * xj[6]
-			x7 -= v * xj[7]
+			x0 -= float64(v * xj[0])
+			x1 -= float64(v * xj[1])
+			x2 -= float64(v * xj[2])
+			x3 -= float64(v * xj[3])
+			x4 -= float64(v * xj[4])
+			x5 -= float64(v * xj[5])
+			x6 -= float64(v * xj[6])
+			x7 -= float64(v * xj[7])
 		}
 		d := f.invDiag[i]
 		xi[0], xi[1], xi[2], xi[3], xi[4], xi[5], xi[6], xi[7] = x0*d, x1*d, x2*d, x3*d, x4*d, x5*d, x6*d, x7*d
 	}
-}
-
-// solveBatch16InPlace is the width-16 in-place substitution: the
-// vector kernel under AVX2 (four 4-lane vectors per row), else
-// solveWalk over 16-lane array blocks. Per lane the arithmetic order
-// is identical to every other width.
-func (f *realLU) solveBatch16InPlace(x []float64) {
-	if useSolveAVX2 {
-		fwdBack16AVX2(f.lVal, f.lCol, f.lPtr, f.uVal, f.uCol, f.uPtr, f.invDiag, x, f.n)
-		return
-	}
-	solveWalk[*[WideBatchLanes]float64](f, x, WideBatchLanes)
 }

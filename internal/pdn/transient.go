@@ -291,9 +291,9 @@ func (t *Transient) initState() error {
 	for ei, e := range c.elements {
 		switch e.kind {
 		case kindCapacitor:
-			t.hist[ei] = t.geq[ei]*t.vab[ei] + t.ibr[ei]
+			t.hist[ei] = float64(t.geq[ei]*t.vab[ei]) + t.ibr[ei]
 		case kindInductor:
-			t.hist[ei] = t.ibr[ei] + t.geq[ei]*t.vab[ei]
+			t.hist[ei] = t.ibr[ei] + float64(t.geq[ei]*t.vab[ei])
 		}
 	}
 	return nil
@@ -304,10 +304,10 @@ func (t *Transient) initState() error {
 func (t *Transient) stampFixedRHS(rhs []float64, a, b NodeID, ge float64) {
 	ia, ib := t.idx[a], t.idx[b]
 	if ia >= 0 && ib < 0 {
-		rhs[ia] += ge * t.c.potentialOfFixed(b)
+		rhs[ia] += float64(ge * t.c.potentialOfFixed(b))
 	}
 	if ib >= 0 && ia < 0 {
-		rhs[ib] += ge * t.c.potentialOfFixed(a)
+		rhs[ib] += float64(ge * t.c.potentialOfFixed(a))
 	}
 }
 
@@ -354,9 +354,9 @@ func (t *Transient) BranchCurrent(i int) float64 {
 	v := t.pots[e.a] - t.pots[e.b]
 	switch e.kind {
 	case kindCapacitor:
-		return t.geq[i]*v - t.hist[i]
+		return float64(t.geq[i]*v) - t.hist[i]
 	case kindInductor:
-		return t.geq[i]*v + t.hist[i]
+		return float64(t.geq[i]*v) + t.hist[i]
 	default: // resistor
 		return v * t.geq[i]
 	}
@@ -396,7 +396,7 @@ func (t *Transient) Step() error {
 			// Branch current a->b contributes +hist into node a's RHS.
 			h := hist[pe.ei]
 			if !first {
-				gv := pe.geq * (pots[pe.na] - pots[pe.nb])
+				gv := float64(pe.geq * (pots[pe.na] - pots[pe.nb]))
 				h = gv + (gv - h)
 				hist[pe.ei] = h
 			}
@@ -410,7 +410,7 @@ func (t *Transient) Step() error {
 			// i(t+dt) = geq*v(t+dt) + hist, hist = i(t) + geq*v(t).
 			h := hist[pe.ei]
 			if !first {
-				gv := pe.geq * (pots[pe.na] - pots[pe.nb])
+				gv := float64(pe.geq * (pots[pe.na] - pots[pe.nb]))
 				h = (gv + h) + gv
 				hist[pe.ei] = h
 			}
@@ -481,7 +481,7 @@ func (t *Transient) Run(duration float64, probes []NodeID) ([]*signal.Trace, err
 // RunUntil advances the simulation until the given absolute time
 // without recording anything. Useful for warm-up.
 func (t *Transient) RunUntil(until float64) error {
-	for t.time < until-t.dt/2 {
+	for t.time < until-float64(t.dt/2) {
 		if err := t.Step(); err != nil {
 			return err
 		}

@@ -196,7 +196,7 @@ func coreSuffix(i int) string   { return string(rune('0' + i)) }
 // mid band, the grid resistances de-tune the droop slightly).
 func (cfg ZEC12Config) ResonantEstimates() (midHz, droopHz float64) {
 	mid := units.ResonantFrequency(units.Henry(cfg.LPkg), units.Farad(cfg.CPkg))
-	dieC := cfg.DeepTrenchFactor * (float64(NumCores)*cfg.CCore + 2*cfg.CDomain + cfg.CL3)
+	dieC := cfg.DeepTrenchFactor * (float64(float64(NumCores)*cfg.CCore) + float64(2*cfg.CDomain) + cfg.CL3)
 	droop := units.ResonantFrequency(units.Henry(cfg.LDomain/2), units.Farad(dieC))
 	return float64(mid), float64(droop)
 }
